@@ -7,54 +7,4 @@ half-life.  Ships with two desk-scale environments, scripted experts, the
 baseline ladder, and a reproduction harness.
 """
 
-from .config import TrainConfig
-from .data import Dataset, Trajectory, Transition, load_dataset, save_dataset, split_bc
-from .envs import ActionSpec, KeyDoorEnv, PointReachEnv, StepResult, make_env
-from .evaluate import EvalReport, evaluate_checkpoint, evaluate_net
-from .experts import AStarExpert, PointExpert, astar_plan, collect, point_expert
-from .losses import DiscMode, bc_loss, disc_loss, policy_loss, surrogate_reward
-from .nets import MLP, Adam, build_disc_net, build_policy_net, load_checkpoint, save_checkpoint
-from .rollout import RolloutBuffer, compute_advantages
-from .runner import run
-from .schedule import AnnealSchedule, alpha_at
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "TrainConfig",
-    "Dataset",
-    "Trajectory",
-    "Transition",
-    "load_dataset",
-    "save_dataset",
-    "split_bc",
-    "ActionSpec",
-    "KeyDoorEnv",
-    "PointReachEnv",
-    "StepResult",
-    "make_env",
-    "EvalReport",
-    "evaluate_checkpoint",
-    "evaluate_net",
-    "AStarExpert",
-    "PointExpert",
-    "astar_plan",
-    "collect",
-    "point_expert",
-    "DiscMode",
-    "bc_loss",
-    "disc_loss",
-    "policy_loss",
-    "surrogate_reward",
-    "MLP",
-    "Adam",
-    "build_disc_net",
-    "build_policy_net",
-    "load_checkpoint",
-    "save_checkpoint",
-    "RolloutBuffer",
-    "compute_advantages",
-    "run",
-    "AnnealSchedule",
-    "alpha_at",
-]

@@ -27,7 +27,7 @@ def _parse_seeds(text: str):
 
 
 def _env_id(args) -> str:
-    return f"keydoor{args.size}" if args.env == "keydoor" else "pointreach"
+    return TrainConfig(env=args.env, grid_size=args.size).env_id
 
 
 def cmd_collect_expert(args) -> int:

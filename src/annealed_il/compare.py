@@ -14,6 +14,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from .config import TrainConfig
+
 SMOOTH_WINDOW = 5
 NOT_REACHED = "not_reached"
 
@@ -37,21 +39,16 @@ def _load_eval_rows(path: Path) -> List[dict]:
 
 
 def load_run(run_dir) -> Tuple[str, str, List[List[dict]], dict]:
-    """Name, env id, per-seed eval rows, and the pooled final report."""
+    """Name, env id, eval rows of each seed in config.json, and the pooled final report."""
     run_dir = Path(run_dir)
     config_path = run_dir / "config.json"
     if not config_path.exists():
         raise ValueError(f"{run_dir}: missing config.json, not a run directory")
-    with open(config_path) as f:
-        config = json.load(f)
-    env_id = f"keydoor{config['grid_size']}" if config["env"] == "keydoor" else "pointreach"
-    seed_dirs = sorted(run_dir.glob("seed_*"))
-    if not seed_dirs:
-        raise ValueError(f"{run_dir}: no seed directories")
-    per_seed = [_load_eval_rows(d / "eval.jsonl") for d in seed_dirs]
+    config = TrainConfig.from_file(config_path)
+    per_seed = [_load_eval_rows(run_dir / f"seed_{seed}" / "eval.jsonl") for seed in config.seeds]
     with open(run_dir / "report.json") as f:
         report = json.load(f)
-    return run_dir.name, env_id, per_seed, report
+    return run_dir.name, config.env_id, per_seed, report
 
 
 def pooled_curve(per_seed: List[List[dict]]) -> List[Tuple[int, float, float]]:

@@ -145,6 +145,10 @@ def validate(config: TrainConfig) -> TrainConfig:
         raise ConfigError("total_steps must be positive")
     if config.rollout_steps <= 0:
         raise ConfigError("rollout_steps must be positive")
+    if config.eval_every < 1:
+        raise ConfigError("eval_every must be >= 1")
+    if config.eval_episodes < 1:
+        raise ConfigError("eval_episodes must be >= 1")
     if config.env == "keydoor" and config.grid_size not in (8, 10, 12):
         raise ConfigError(f"grid_size must be 8, 10 or 12, got {config.grid_size}")
     if config.algorithm == "bcgail_fixed":

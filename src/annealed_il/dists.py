@@ -42,7 +42,8 @@ def categorical_entropy(logits: np.ndarray) -> np.ndarray:
 
 def categorical_sample(logits: np.ndarray, rng: np.random.Generator) -> int:
     p = softmax(logits)
-    return int(np.searchsorted(np.cumsum(p), rng.random()))
+    # the cumsum can round below 1, so a draw above it would index past the end
+    return min(int(np.searchsorted(np.cumsum(p), rng.random())), p.shape[-1] - 1)
 
 
 def d_categorical_log_prob(logits: np.ndarray, actions: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -72,6 +73,12 @@ def clamped_log_std(raw: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def gaussian_log_prob(mean: np.ndarray, log_std: np.ndarray, actions: np.ndarray) -> np.ndarray:
+    """Log-density of the unclipped diagonal Gaussian at ``actions``.
+
+    Sampled actions are clipped to the action bounds, and this is evaluated
+    at the clipped action, not under the censored distribution clipping
+    produces; the log-prob is therefore biased for actions near the bounds.
+    """
     z = (actions - mean) / np.exp(log_std)
     return (-0.5 * z**2 - log_std - 0.5 * LOG_2PI).sum(axis=-1)
 

@@ -12,7 +12,7 @@ Both environments are deterministic given a reset seed, so replaying the
 same seed and action sequence yields bit-identical trajectories.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,9 +59,6 @@ class StepResult:
 
 def make_env(env_id: str):
     """Build an environment from its string id (``keydoor8`` .. ``pointreach``)."""
-    from .keydoor import KeyDoorEnv
-    from .pointreach import PointReachEnv
-
     if env_id.startswith("keydoor"):
         size = int(env_id[len("keydoor"):])
         return KeyDoorEnv(size)
@@ -70,21 +67,8 @@ def make_env(env_id: str):
     raise ValueError(f"unknown env id: {env_id!r}")
 
 
-from .keydoor import GridState, KeyDoorEnv, encode_grid_obs, keydoor_reset, keydoor_step
-from .pointreach import PointReachEnv, PointState, encode_point_obs, point_reset, point_step
+# imported last: both modules import ActionSpec and StepResult from here
+from .keydoor import KeyDoorEnv
+from .pointreach import PointReachEnv
 
-__all__ = [
-    "ActionSpec",
-    "StepResult",
-    "make_env",
-    "GridState",
-    "KeyDoorEnv",
-    "keydoor_reset",
-    "keydoor_step",
-    "encode_grid_obs",
-    "PointState",
-    "PointReachEnv",
-    "point_reset",
-    "point_step",
-    "encode_point_obs",
-]
+__all__ = ["ActionSpec", "StepResult", "make_env", "KeyDoorEnv", "PointReachEnv"]

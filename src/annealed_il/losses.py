@@ -43,45 +43,98 @@ def _add_grads(a: List[np.ndarray], b: List[np.ndarray]) -> List[np.ndarray]:
     return [x + y for x, y in zip(a, b)]
 
 
-def _scale_grads(a: List[np.ndarray], s: float) -> List[np.ndarray]:
-    return [s * x for x in a]
+# -- policy head terms ---------------------------------------------------------
+#
+# Each term maps the policy head outputs to its value and a head gradient
+# (d_pi, d_log_std); either part may be None.  ``_backward`` sums any
+# number of head gradients and turns them into parameter gradients with a
+# single backward pass.
 
 
-# -- policy distribution plumbing -------------------------------------------
-
-
-def policy_dist(net: MLP, spec: ActionSpec, obs: np.ndarray):
+def _forward(net: MLP, obs: np.ndarray):
     """Forward pass returning (pi output, values, cache)."""
     outs, cache = net.forward(obs)
     return outs["pi"], outs["v"][:, 0], cache
 
 
-def action_log_probs(net: MLP, spec: ActionSpec, obs: np.ndarray, actions: np.ndarray) -> np.ndarray:
-    pi, _, _ = policy_dist(net, spec, obs)
+def _log_std(net: MLP) -> np.ndarray:
+    return dists.clamped_log_std(net.extras["log_std"])[0]
+
+
+def _log_prob(net: MLP, spec: ActionSpec, pi: np.ndarray, actions: np.ndarray) -> np.ndarray:
     if spec.kind == "discrete":
         return dists.categorical_log_prob(pi, actions)
-    log_std, _ = dists.clamped_log_std(net.extras["log_std"])
-    return dists.gaussian_log_prob(pi, log_std, actions)
+    return dists.gaussian_log_prob(pi, _log_std(net), actions)
 
 
-def _weighted_logp_backward(
-    net: MLP,
-    spec: ActionSpec,
-    pi: np.ndarray,
-    cache: dict,
-    actions: np.ndarray,
-    weights: np.ndarray,
-) -> List[np.ndarray]:
-    """Gradients of sum_i weights_i * log pi(a_i | s_i)."""
+def _d_log_prob(net: MLP, spec: ActionSpec, pi: np.ndarray, actions: np.ndarray, weights: np.ndarray):
+    """Head gradient of sum_i weights_i * log pi(a_i | s_i)."""
     if spec.kind == "discrete":
-        d_pi = dists.d_categorical_log_prob(pi, actions, weights)
-        return net.backward(cache, {"pi": d_pi})
-    raw = net.extras["log_std"]
-    log_std, mask = dists.clamped_log_std(raw)
-    d_mean, d_log_std = dists.d_gaussian_log_prob(pi, log_std, actions, weights)
-    grads = net.backward(cache, {"pi": d_mean})
-    grads[net.extra_index("log_std")] += d_log_std * mask
+        return dists.d_categorical_log_prob(pi, actions, weights), None
+    return dists.d_gaussian_log_prob(pi, _log_std(net), actions, weights)
+
+
+def _pg_weights(
+    logp: np.ndarray,
+    advantages: np.ndarray,
+    old_log_probs: Optional[np.ndarray],
+    ppo_clip: Optional[float],
+    coef: float,
+) -> Tuple[float, np.ndarray]:
+    """Policy-gradient loss and the log-prob weights of coef times its gradient.
+
+    Plain: -mean(log pi(a|s) * A).  With ``ppo_clip`` set, the clipped-ratio
+    surrogate against ``old_log_probs`` instead.
+    """
+    n = len(logp)
+    if ppo_clip is None:
+        return -(logp * advantages).mean(), -coef * advantages / n
+    ratio = np.exp(logp - old_log_probs)
+    clipped = np.clip(ratio, 1.0 - ppo_clip, 1.0 + ppo_clip)
+    loss = -np.minimum(ratio * advantages, clipped * advantages).mean()
+    active = (ratio * advantages <= clipped * advantages).astype(np.float64)
+    return loss, -coef * active * ratio * advantages / n
+
+
+def _value(v: np.ndarray, targets: np.ndarray, coef: float) -> Tuple[float, np.ndarray]:
+    """0.5 * mean squared error and the value-head gradient of coef times it."""
+    err = v - targets
+    return 0.5 * (err**2).mean(), (coef * err / len(v)).reshape(-1, 1)
+
+
+def _entropy(net: MLP, spec: ActionSpec, pi: np.ndarray, coef: float):
+    """Mean entropy and the head gradient of coef times it (None if coef is 0)."""
+    n = len(pi)
+    if spec.kind == "discrete":
+        value = dists.categorical_entropy(pi).mean()
+        grad = (coef * dists.d_categorical_entropy(pi) / n, None)
+    else:
+        value = dists.gaussian_entropy(_log_std(net), n).mean()
+        grad = (None, coef)  # dH/dlog_std = 1 per dim
+    return value, (grad if coef != 0.0 else None)
+
+
+def _backward(net: MLP, cache: dict, head_grads, d_v: Optional[np.ndarray] = None) -> List[np.ndarray]:
+    """Parameter gradients of the summed head gradients, in one backward pass.
+
+    The log-std gradient is zeroed where its clamp is active.
+    """
+    head_grads = [g for g in head_grads if g is not None]
+    d_pi = None
+    for g, _ in head_grads:
+        if g is not None:
+            d_pi = g if d_pi is None else d_pi + g
+    grads = net.backward(cache, {"pi": d_pi, "v": d_v})
+    for _, d_log_std in head_grads:
+        if d_log_std is not None:
+            _, mask = dists.clamped_log_std(net.extras["log_std"])
+            grads[net.extra_index("log_std")] += d_log_std * mask
     return grads
+
+
+def action_log_probs(net: MLP, spec: ActionSpec, obs: np.ndarray, actions: np.ndarray) -> np.ndarray:
+    pi, _, _ = _forward(net, obs)
+    return _log_prob(net, spec, pi, actions)
 
 
 # -- cloning loss ------------------------------------------------------------
@@ -91,15 +144,10 @@ def bc_loss(net: MLP, spec: ActionSpec, obs: np.ndarray, actions: np.ndarray) ->
     """Mean negative log-likelihood of expert actions under the policy."""
     if len(obs) == 0:
         raise ValueError("cloning loss needs a nonempty batch")
-    pi, _, cache = policy_dist(net, spec, obs)
-    if spec.kind == "discrete":
-        logp = dists.categorical_log_prob(pi, actions)
-    else:
-        log_std, _ = dists.clamped_log_std(net.extras["log_std"])
-        logp = dists.gaussian_log_prob(pi, log_std, actions)
-    loss = _check_finite("bc_loss", -logp.mean())
+    pi, _, cache = _forward(net, obs)
+    loss = _check_finite("bc_loss", -_log_prob(net, spec, pi, actions).mean())
     weights = np.full(len(obs), -1.0 / len(obs))
-    return loss, _weighted_logp_backward(net, spec, pi, cache, actions, weights)
+    return loss, _backward(net, cache, [_d_log_prob(net, spec, pi, actions, weights)])
 
 
 # -- policy gradient -----------------------------------------------------------
@@ -119,52 +167,25 @@ def pg_loss(
     With ``ppo_clip`` set, uses the clipped-ratio surrogate against
     ``old_log_probs`` instead.
     """
-    pi, _, cache = policy_dist(net, spec, obs)
-    if spec.kind == "discrete":
-        logp = dists.categorical_log_prob(pi, actions)
-    else:
-        log_std, _ = dists.clamped_log_std(net.extras["log_std"])
-        logp = dists.gaussian_log_prob(pi, log_std, actions)
-
-    n = len(obs)
-    if ppo_clip is None:
-        loss = -(logp * advantages).mean()
-        weights = -advantages / n
-    else:
-        ratio = np.exp(logp - old_log_probs)
-        clipped = np.clip(ratio, 1.0 - ppo_clip, 1.0 + ppo_clip)
-        objective = np.minimum(ratio * advantages, clipped * advantages)
-        loss = -objective.mean()
-        active = (ratio * advantages <= clipped * advantages).astype(np.float64)
-        weights = -active * ratio * advantages / n
+    pi, _, cache = _forward(net, obs)
+    logp = _log_prob(net, spec, pi, actions)
+    loss, weights = _pg_weights(logp, advantages, old_log_probs, ppo_clip, 1.0)
     loss = _check_finite("pg_loss", loss)
-    return loss, _weighted_logp_backward(net, spec, pi, cache, actions, weights)
+    return loss, _backward(net, cache, [_d_log_prob(net, spec, pi, actions, weights)])
 
 
 def value_loss(net: MLP, obs: np.ndarray, targets: np.ndarray) -> Tuple[float, List[np.ndarray]]:
     """0.5 * mean squared error of the value head against regression targets."""
-    outs, cache = net.forward(obs)
-    v = outs["v"][:, 0]
-    err = v - targets
-    loss = _check_finite("value_loss", 0.5 * (err**2).mean())
-    d_v = (err / len(obs)).reshape(-1, 1)
-    return loss, net.backward(cache, {"v": d_v})
+    _, v, cache = _forward(net, obs)
+    loss, d_v = _value(v, targets, 1.0)
+    return _check_finite("value_loss", loss), _backward(net, cache, [], d_v)
 
 
 def entropy_term(net: MLP, spec: ActionSpec, obs: np.ndarray) -> Tuple[float, List[np.ndarray]]:
     """Mean policy entropy over the batch and its gradients."""
-    pi, _, cache = policy_dist(net, spec, obs)
-    n = len(obs)
-    if spec.kind == "discrete":
-        value = dists.categorical_entropy(pi).mean()
-        grads = net.backward(cache, {"pi": dists.d_categorical_entropy(pi) / n})
-    else:
-        raw = net.extras["log_std"]
-        log_std, mask = dists.clamped_log_std(raw)
-        value = dists.gaussian_entropy(log_std, n).mean()
-        grads = net.zero_grads()
-        grads[net.extra_index("log_std")] += mask  # dH/dlog_std = 1 per dim
-    return _check_finite("entropy", value), grads
+    pi, _, cache = _forward(net, obs)
+    value, grad = _entropy(net, spec, pi, 1.0)
+    return _check_finite("entropy", value), _backward(net, cache, [grad])
 
 
 def policy_loss(
@@ -189,55 +210,14 @@ def policy_loss(
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-    pi, v, cache = policy_dist(net, spec, obs)
-    n = len(obs)
-
-    # policy-gradient part
-    if spec.kind == "discrete":
-        logp = dists.categorical_log_prob(pi, actions)
-    else:
-        raw = net.extras["log_std"]
-        log_std, log_std_mask = dists.clamped_log_std(raw)
-        logp = dists.gaussian_log_prob(pi, log_std, actions)
-    if ppo_clip is None:
-        pg_value = -(logp * advantages).mean()
-        logp_weights = -(1.0 - alpha) * advantages / n
-    else:
-        ratio = np.exp(logp - old_log_probs)
-        clipped = np.clip(ratio, 1.0 - ppo_clip, 1.0 + ppo_clip)
-        pg_value = -np.minimum(ratio * advantages, clipped * advantages).mean()
-        active = (ratio * advantages <= clipped * advantages).astype(np.float64)
-        logp_weights = -(1.0 - alpha) * active * ratio * advantages / n
-
-    # value regression
-    v_err = v - value_targets
-    value_value = 0.5 * (v_err**2).mean()
-    d_v = (value_coef * v_err / n).reshape(-1, 1)
-
-    # entropy bonus (subtracted from the total)
-    d_pi_entropy = 0.0
-    d_log_std_entropy = 0.0
-    if spec.kind == "discrete":
-        entropy_value = dists.categorical_entropy(pi).mean()
-        if entropy_coef != 0.0:
-            d_pi_entropy = -entropy_coef * dists.d_categorical_entropy(pi) / n
-    else:
-        entropy_value = dists.gaussian_entropy(log_std, n).mean()
-        if entropy_coef != 0.0:
-            d_log_std_entropy = -entropy_coef * log_std_mask
-
-    if spec.kind == "discrete":
-        d_pi = dists.d_categorical_log_prob(pi, actions, logp_weights)
-        if entropy_coef != 0.0:
-            d_pi = d_pi + d_pi_entropy
-        grads = net.backward(cache, {"pi": d_pi, "v": d_v})
-    else:
-        d_mean, d_log_std = dists.d_gaussian_log_prob(pi, log_std, actions, logp_weights)
-        grads = net.backward(cache, {"pi": d_mean, "v": d_v})
-        idx = net.extra_index("log_std")
-        grads[idx] += d_log_std * log_std_mask
-        if entropy_coef != 0.0:
-            grads[idx] += d_log_std_entropy
+    pi, v, cache = _forward(net, obs)
+    logp = _log_prob(net, spec, pi, actions)
+    pg_value, logp_weights = _pg_weights(logp, advantages, old_log_probs, ppo_clip, 1.0 - alpha)
+    value_value, d_v = _value(v, value_targets, value_coef)
+    # the entropy bonus is subtracted from the total
+    entropy_value, d_entropy = _entropy(net, spec, pi, -entropy_coef)
+    pg_grad = _d_log_prob(net, spec, pi, actions, logp_weights)
+    grads = _backward(net, cache, [pg_grad, d_entropy], d_v)
 
     # cloning term on the expert batch
     bc_value = 0.0
@@ -245,7 +225,7 @@ def policy_loss(
         if expert_obs is None or len(expert_obs) == 0:
             raise ValueError("alpha > 0 requires a nonempty expert batch")
         bc_value, bc_grads = bc_loss(net, spec, expert_obs, expert_actions)
-        grads = _add_grads(grads, _scale_grads(bc_grads, alpha))
+        grads = [g + alpha * b for g, b in zip(grads, bc_grads)]
 
     total = (
         alpha * bc_value

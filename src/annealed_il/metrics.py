@@ -5,7 +5,6 @@ written with full round-trip precision so reruns of the same (config,
 seed) produce byte-identical files.
 """
 
-import math
 from dataclasses import dataclass, fields
 from typing import List
 
@@ -74,12 +73,6 @@ class MetricsWriter:
     def close(self) -> None:
         self._file.close()
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-
 
 def read_metrics(path) -> List[dict]:
     with open(path) as f:
@@ -99,7 +92,3 @@ def read_metrics(path) -> List[dict]:
                 row[name] = float(raw)
         rows.append(row)
     return rows
-
-
-def is_nan(x: float) -> bool:
-    return isinstance(x, float) and math.isnan(x)

@@ -55,18 +55,18 @@ def reproduce_gridworld(
     gradient."""
     seeds = seeds or [0, 1, 2]
     out_path = Path(out)
-    if dataset is None:
-        dataset = ensure_dataset(
-            f"keydoor{size}", GRID_TRAJECTORIES[size], out_path / "datasets" / f"keydoor{size}.jsonl"
-        )
     base = TrainConfig(
         env="keydoor",
         grid_size=size,
         seeds=list(seeds),
-        dataset=str(dataset),
         out=str(out_path),
         total_steps=total_steps,
     )
+    if dataset is None:
+        dataset = ensure_dataset(
+            base.env_id, GRID_TRAJECTORIES[size], out_path / "datasets" / f"{base.env_id}.jsonl"
+        )
+    base = replace(base, dataset=str(dataset))
     configs = [
         replace(base, algorithm="bc"),
         replace(base, algorithm="gail"),

@@ -11,13 +11,11 @@ import json
 from pathlib import Path
 from typing import Optional
 
-import numpy as np
-
 from .config import NEEDS_DATASET, ConfigError, TrainConfig, validate
 from .data import Dataset, load_dataset, split_bc
 from .envs import make_env
 from .losses import disc_inputs, disc_loss
-from .metrics import NAN, IterationMetrics, MetricsWriter
+from .metrics import IterationMetrics, MetricsWriter
 from .nets import build_policy_net, clip_grad_norm, clip_params, save_checkpoint
 from .rollout import collect_rollout
 from .trainer import build_trainer, spawn_rngs, train_bc_supervised, train_iteration

@@ -7,7 +7,6 @@ learner, 1 is pure cloning.
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 
 @dataclass(frozen=True)

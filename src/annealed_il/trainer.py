@@ -8,7 +8,7 @@ special case of the same code path, so the two are bit-identical given
 the same seed.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np

@@ -11,8 +11,11 @@ defaults.
 """
 
 import json
+import multiprocessing
 import os
 import time
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -200,6 +203,37 @@ POINT_STEPS = int(os.environ.get("ANNEALED_IL_ACCEPT_POINT_STEPS", "300000"))
 SEEDS = [0, 1, 2]
 
 
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@contextmanager
+def _one_blas_thread():
+    """Set the BLAS thread count to 1 for processes started inside the block."""
+    saved = {var: os.environ.get(var) for var in BLAS_THREAD_VARS}
+    os.environ.update({var: "1" for var in BLAS_THREAD_VARS})
+    try:
+        yield
+    finally:
+        for var, value in saved.items():
+            if value is None:
+                os.environ.pop(var, None)
+            else:
+                os.environ[var] = value
+
+
+def _run_all(configs) -> list:
+    """``run`` each config, two at a time in fresh processes; returns the run dirs.
+
+    The runs are independent and deterministic, so their outputs are the same
+    as run one after another; each worker gets one BLAS thread so the two
+    share the cores instead of spinning against each other.
+    """
+    with _one_blas_thread(), ProcessPoolExecutor(
+        max_workers=2, mp_context=multiprocessing.get_context("spawn")
+    ) as pool:
+        return list(pool.map(run, configs))
+
+
 def _final(run_dir) -> tuple:
     report = json.loads((Path(run_dir) / "report.json").read_text())
     return report["pooled_mean"], report["pooled_std"]
@@ -215,10 +249,8 @@ def grid_bundle(tmp_path_factory):
         env="keydoor", grid_size=8, seeds=SEEDS, dataset=str(data), out=str(out),
         total_steps=GRID_STEPS,
     )
-    dirs = {}
-    for algorithm in ("bc", "gail", "bcgail_annealed", "bc_pretrain_gail", "reinforce"):
-        dirs[algorithm] = run(replace(base, algorithm=algorithm))
-    return dirs
+    algorithms = ("bc", "gail", "bcgail_annealed", "bc_pretrain_gail", "reinforce")
+    return dict(zip(algorithms, _run_all([replace(base, algorithm=a) for a in algorithms])))
 
 
 def test_criterion_5_gridworld_directional(grid_bundle):
@@ -279,8 +311,7 @@ def test_criterion_7_random_reward_ablation(tmp_path_factory):
     save_dataset(collect(make_env("pointreach"), PointExpert(), 5, 990000), data)
     base = TrainConfig(env="pointreach", seeds=SEEDS, dataset=str(data), out=str(out),
                        total_steps=POINT_STEPS)
-    rr_dir = run(replace(base, algorithm="random_reward_ablation"))
-    bc_dir = run(replace(base, algorithm="bc"))
+    rr_dir, bc_dir = _run_all([replace(base, algorithm="random_reward_ablation"), replace(base, algorithm="bc")])
     rr_final, _ = _final(rr_dir)
     bc_final, _ = _final(bc_dir)
     report(
@@ -296,10 +327,9 @@ def test_criterion_8_annealing_vs_fixed(tmp_path_factory):
     save_dataset(collect(make_env("pointreach"), PointExpert(), 1, 990000), data)
     base = TrainConfig(env="pointreach", seeds=SEEDS, dataset=str(data), out=str(out),
                        total_steps=POINT_STEPS)
-    dirs = {}
-    for alpha in (0.25, 0.5, 0.75):
-        dirs[alpha] = run(replace(base, algorithm="bcgail_fixed", alpha=alpha))
-    dirs["annealed"] = run(replace(base, algorithm="bcgail_annealed"))
+    configs = [replace(base, algorithm="bcgail_fixed", alpha=alpha) for alpha in (0.25, 0.5, 0.75)]
+    configs.append(replace(base, algorithm="bcgail_annealed"))
+    dirs = dict(zip((0.25, 0.5, 0.75, "annealed"), _run_all(configs)))
 
     from annealed_il.reproduce import POINT_THRESHOLD
 

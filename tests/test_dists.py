@@ -72,6 +72,16 @@ def test_tiny_sigma_sampling_stays_near_mean():
         assert np.all(np.abs(a - mean) < 1e-1)
 
 
+def test_categorical_sample_stays_in_range_when_cumsum_rounds_below_one():
+    class TopDraw:
+        def random(self):
+            return 1.0 - 2.0**-53  # the largest draw below 1
+
+    logits = np.array([[-1.37317748, 0.66058537, -3.02885455, -0.62752672]])
+    assert np.cumsum(dists.softmax(logits))[-1] < 1.0 - 2.0**-53
+    assert dists.categorical_sample(logits, TopDraw()) == 3
+
+
 def test_sampling_deterministic_given_seed():
     logits = np.array([[0.3, -0.5, 1.0, 0.0]])
     a1 = dists.categorical_sample(logits, np.random.default_rng(9))

@@ -73,6 +73,10 @@ def test_validate_catches_bad_configs(point_dataset_path):
         validate(tiny_config("/nonexistent/data.jsonl", "x"))
     with pytest.raises(ConfigError, match="grid_size"):
         validate(TrainConfig(env="keydoor", grid_size=9, algorithm="reinforce"))
+    with pytest.raises(ConfigError, match="eval_every"):
+        validate(tiny_config(point_dataset_path, "x", eval_every=0))
+    with pytest.raises(ConfigError, match="eval_episodes"):
+        validate(tiny_config(point_dataset_path, "x", eval_episodes=0))
     # reinforce needs no dataset
     validate(TrainConfig(env="keydoor", algorithm="reinforce"))
 
@@ -232,6 +236,16 @@ def test_compare_single_run_and_idempotent_pair(tmp_path, point_dataset_path):
     assert all(a[0] <= b[0] for a, b in zip(curve, curve[1:]))
 
 
+def test_compare_reads_only_the_configured_seeds(tmp_path, point_dataset_path):
+    # a rerun with fewer seeds leaves the old seed directories in place
+    run(tiny_config(point_dataset_path, str(tmp_path), seeds=[0, 1]))
+    run_dir = run(tiny_config(point_dataset_path, str(tmp_path), seeds=[5]))
+    assert sorted(p.name for p in run_dir.glob("seed_*")) == ["seed_0", "seed_1", "seed_5"]
+    rows = [json.loads(line) for line in (run_dir / "seed_5" / "eval.jsonl").read_text().splitlines()]
+    (summary,) = compare([run_dir], threshold=0.0)
+    assert summary.curve == [(row["env_steps"], row["mean"], 0.0) for row in rows]
+
+
 def test_steps_to_threshold_not_reached(tmp_path, point_dataset_path):
     d1 = run(tiny_config(point_dataset_path, str(tmp_path / "r")))
     summaries = compare([d1], threshold=1e9)
@@ -293,6 +307,16 @@ def test_cli_missing_dataset_fails_before_compute(tmp_path, capsys):
     ])
     assert rc != 0
     assert "error" in capsys.readouterr().err
+
+
+def test_cli_rejects_zero_eval_every_before_writing(tmp_path, capsys):
+    rc = main([
+        "train", "--env", "pointreach", "--algorithm", "reinforce", "--steps", "512",
+        "--eval-every", "0", "--out", str(tmp_path / "runs"),
+    ])
+    assert rc == 2
+    assert "eval_every" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
 
 
 def test_cli_unknown_subcommand_usage_error():

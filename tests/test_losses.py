@@ -229,6 +229,38 @@ def test_policy_loss_gradient_matches_finite_differences(alpha):
         assert relative_error(flatten_grads(grads), numerical_grad(f, net)) < 1e-4
 
 
+def count_passes(net):
+    """Wrap net.forward/backward on this instance; returns the live call counts."""
+    counts = {"forward": 0, "backward": 0}
+    for name in counts:
+        method = getattr(net, name)
+
+        def counted(*args, _name=name, _method=method, **kwargs):
+            counts[_name] += 1
+            return _method(*args, **kwargs)
+
+        setattr(net, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("alpha, passes", [(0.0, 1), (0.5, 2), (1.0, 2)])
+@pytest.mark.parametrize("ppo_clip", [None, 0.2])
+def test_policy_loss_one_forward_one_backward_per_batch(alpha, passes, ppo_clip):
+    # the rollout terms share one pass; alpha > 0 adds one for the expert batch
+    for spec in (DISCRETE, CONTINUOUS):
+        net = small_policy(spec, 17)
+        obs, actions = random_batch(spec, 17)
+        eobs, eactions = random_batch(spec, 18, n=5)
+        rng = np.random.default_rng(17)
+        adv, targets, old = rng.standard_normal(6), rng.standard_normal(6), rng.standard_normal(6) - 2.0
+        counts = count_passes(net)
+        policy_loss(
+            net, spec, obs, actions, adv, targets, alpha, eobs, eactions,
+            entropy_coef=0.01, value_coef=0.5, old_log_probs=old, ppo_clip=ppo_clip,
+        )
+        assert counts == {"forward": passes, "backward": passes}
+
+
 def test_policy_loss_composition_identity():
     # combined gradient == alpha*bc + (1-alpha)*pg + value/entropy pieces
     for spec in (DISCRETE, CONTINUOUS):
