@@ -11,7 +11,7 @@ Actions: 0=up, 1=down, 2=left, 3=right.  Moves into walls, the closed
 door, or off the grid are no-ops.  Horizon: 4 * size**2 steps.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
@@ -100,20 +100,25 @@ def _passable(state: GridState, pos: Tuple[int, int]) -> bool:
 
 def keydoor_step(state: GridState, action: int) -> Tuple[GridState, StepResult]:
     """Advance one step; blocked moves leave the agent in place."""
-    if not 0 <= int(action) < N_ACTIONS:
-        raise ValueError(f"action must be in 0..3, got {action}")
+    a = int(action)
+    if a != action or not 0 <= a < N_ACTIONS:
+        raise ValueError(f"action must be an integer in 0..3, got {action}")
     if state.is_terminal():
         raise ValueError("cannot step a terminal state")
 
-    dr, dc = ACTION_DELTAS[int(action)]
+    dr, dc = ACTION_DELTAS[a]
     target = (state.agent_pos[0] + dr, state.agent_pos[1] + dc)
     new_pos = target if _in_bounds(target, state.grid_size) and _passable(state, target) else state.agent_pos
 
     has_key = state.has_key or new_pos == state.key_pos
     door_open = state.door_open or (new_pos == state.door_pos and has_key)
-    new_state = replace(
-        state,
+    new_state = GridState(
+        grid_size=state.grid_size,
         agent_pos=new_pos,
+        key_pos=state.key_pos,
+        door_pos=state.door_pos,
+        goal_pos=state.goal_pos,
+        wall_col=state.wall_col,
         has_key=has_key,
         door_open=door_open,
         steps_elapsed=state.steps_elapsed + 1,
@@ -132,18 +137,25 @@ def encode_grid_obs(state: GridState) -> np.ndarray:
     channel overrides whatever it stands on.
     """
     n = state.grid_size
-    grid = np.full((n, n), CH_EMPTY, dtype=np.int64)
-    if state.wall_col is not None:
-        grid[:, state.wall_col] = CH_WALL
-    grid[state.door_pos] = CH_DOOR
-    grid[state.goal_pos] = CH_GOAL
+    end = N_CHANNELS * n * n
+    obs = np.zeros(end + 1)
+    obs[CH_EMPTY:end:N_CHANNELS] = 1.0
+    wall_col = state.wall_col
+    if wall_col is not None:
+        first = N_CHANNELS * wall_col  # the wall column's top cell; one row down is N_CHANNELS * n further
+        obs[first + CH_EMPTY : end : N_CHANNELS * n] = 0.0
+        obs[first + CH_WALL : end : N_CHANNELS * n] = 1.0
+    # later entries override earlier ones on a shared cell, as the agent overrides all
+    features = {state.door_pos: CH_DOOR, state.goal_pos: CH_GOAL}
     if not state.has_key:
-        grid[state.key_pos] = CH_KEY
-    grid[state.agent_pos] = CH_AGENT
-
-    onehot = np.zeros((n * n, N_CHANNELS))
-    onehot[np.arange(n * n), grid.ravel()] = 1.0
-    return np.concatenate([onehot.ravel(), [1.0 if state.has_key else 0.0]])
+        features[state.key_pos] = CH_KEY
+    features[state.agent_pos] = CH_AGENT
+    for (r, c), channel in features.items():
+        cell = N_CHANNELS * (r * n + c)
+        obs[cell + (CH_WALL if c == wall_col else CH_EMPTY)] = 0.0
+        obs[cell + channel] = 1.0
+    obs[end] = 1.0 if state.has_key else 0.0
+    return obs
 
 
 class KeyDoorEnv:

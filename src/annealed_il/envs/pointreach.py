@@ -7,7 +7,7 @@ minus a small quadratic control cost; the episode ends when the point is
 within 0.05 of the target, or is truncated after 200 steps.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
@@ -50,19 +50,25 @@ def point_reset(rng_seed: int) -> PointState:
 def point_step(
     state: PointState, action: np.ndarray, ctrl_cost: float = CTRL_COST
 ) -> Tuple[PointState, StepResult]:
-    action = np.asarray(action, dtype=np.float64).reshape(2)
-    if not np.all(np.isfinite(action)):
-        raise ValueError(f"non-finite action: {action}")
-    action = np.clip(action, -1.0, 1.0)
+    """Advance one step on Python floats; numpy checks and clips the action.
 
-    vel = np.clip(DECAY * np.asarray(state.vel) + ACCEL_GAIN * action, -V_MAX, V_MAX)
-    pos = np.clip(np.asarray(state.pos) + vel, -1.0, 1.0)
-    new_state = replace(
-        state,
-        pos=(float(pos[0]), float(pos[1])),
-        vel=(float(vel[0]), float(vel[1])),
-        steps_elapsed=state.steps_elapsed + 1,
-    )
+    The control cost stays the BLAS dot ``action @ action`` and the distance
+    stays ``np.hypot``: ``a0*a0 + a1*a1`` and ``math.hypot`` round
+    differently in the last digit on some inputs, which would change
+    rewards and every run trained on them.
+    """
+    action = np.asarray(action, dtype=np.float64).reshape(2)
+    if not np.isfinite(action).all():
+        raise ValueError(f"non-finite action: {action}")
+    action = action.clip(-1.0, 1.0)
+    a0, a1 = action.tolist()
+
+    (px, py), (vx, vy) = state.pos, state.vel
+    vx = min(max(DECAY * vx + ACCEL_GAIN * a0, -V_MAX), V_MAX)
+    vy = min(max(DECAY * vy + ACCEL_GAIN * a1, -V_MAX), V_MAX)
+    px = min(max(px + vx, -1.0), 1.0)
+    py = min(max(py + vy, -1.0), 1.0)
+    new_state = PointState(pos=(px, py), vel=(vx, vy), target=state.target, steps_elapsed=state.steps_elapsed + 1)
     dist = new_state.distance()
     reward = -dist - ctrl_cost * float(action @ action)
     done = dist < GOAL_RADIUS
@@ -72,10 +78,8 @@ def point_step(
 
 def encode_point_obs(state: PointState) -> np.ndarray:
     """(pos, vel, target - pos) concatenated into a 6-vector."""
-    pos = np.asarray(state.pos)
-    vel = np.asarray(state.vel)
-    target = np.asarray(state.target)
-    return np.concatenate([pos, vel, target - pos])
+    (px, py), (vx, vy), (tx, ty) = state.pos, state.vel, state.target
+    return np.array([px, py, vx, vy, tx - px, ty - py])
 
 
 class PointReachEnv:

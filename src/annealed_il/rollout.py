@@ -14,7 +14,7 @@ import numpy as np
 
 from . import dists
 from .envs import ActionSpec
-from .nets import MLP
+from .nets import LOG_STD_MAX, LOG_STD_MIN, MLP
 
 
 @dataclass
@@ -58,13 +58,14 @@ def sample_policy_action(net: MLP, spec: ActionSpec, obs: np.ndarray, rng: np.ra
     pi = outs["pi"][0]
     value = float(outs["v"][0, 0])
     if spec.kind == "discrete":
-        action = dists.categorical_sample(pi[None, :], rng)
-        logp = float(dists.categorical_log_prob(pi[None, :], [action])[0])
-        return action, logp, value
-    log_std, _ = dists.clamped_log_std(net.extras["log_std"])
+        # one log-softmax gives both the draw and its log-prob; the draw is
+        # dists.categorical_sample's, clamped where the cumsum rounds below 1
+        logp_all = dists.log_softmax(pi)
+        action = min(int(np.searchsorted(np.cumsum(np.exp(logp_all)), rng.random())), len(pi) - 1)
+        return action, float(logp_all[action]), value
+    log_std = net.extras["log_std"].clip(LOG_STD_MIN, LOG_STD_MAX)
     action = dists.gaussian_sample(pi, log_std, rng, spec.low, spec.high)
-    logp = float(dists.gaussian_log_prob(pi[None, :], log_std, action[None, :])[0])
-    return action, logp, value
+    return action, float(dists.gaussian_log_prob(pi, log_std, action)), value
 
 
 def greedy_action(net: MLP, spec: ActionSpec, obs: np.ndarray):

@@ -253,6 +253,7 @@ def grid_bundle(tmp_path_factory):
     return dict(zip(algorithms, _run_all([replace(base, algorithm=a) for a in algorithms])))
 
 
+@pytest.mark.slow
 def test_criterion_5_gridworld_directional(grid_bundle):
     summaries = {s.name: s for s in compare(list(grid_bundle.values()), threshold=0.9)}
     anneal = summaries["bcgail_annealed"]
@@ -280,6 +281,7 @@ def test_criterion_5_gridworld_directional(grid_bundle):
     report("5 (gridworld directional reproduction)", a and b and c and d, detail)
 
 
+@pytest.mark.slow
 def test_criterion_6_pretraining_degradation(grid_bundle):
     pretrain_dir = Path(grid_bundle["bc_pretrain_gail"])
     anneal_final, _ = _final(grid_bundle["bcgail_annealed"])
@@ -305,6 +307,7 @@ def test_criterion_6_pretraining_degradation(grid_bundle):
     )
 
 
+@pytest.mark.slow
 def test_criterion_7_random_reward_ablation(tmp_path_factory):
     out = tmp_path_factory.mktemp("random_reward")
     data = out / "point5.jsonl"
@@ -321,6 +324,7 @@ def test_criterion_7_random_reward_ablation(tmp_path_factory):
     )
 
 
+@pytest.mark.slow
 def test_criterion_8_annealing_vs_fixed(tmp_path_factory):
     out = tmp_path_factory.mktemp("sweep")
     data = out / "point1.jsonl"
@@ -360,6 +364,7 @@ def test_criterion_8_annealing_vs_fixed(tmp_path_factory):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_9_determinism(tmp_path):
     data = tmp_path / "point.jsonl"
     save_dataset(collect(make_env("pointreach"), PointExpert(), 3, 0), data)
@@ -385,6 +390,7 @@ def test_criterion_9_determinism(tmp_path):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_10_boundary_equivalence(tmp_path):
     data = tmp_path / "point.jsonl"
     save_dataset(collect(make_env("pointreach"), PointExpert(), 3, 0), data)

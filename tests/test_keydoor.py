@@ -1,6 +1,7 @@
 """Key-Door gridworld: reset invariants, step semantics, determinism."""
 
 from collections import deque
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,13 +9,18 @@ import pytest
 from annealed_il.envs import KeyDoorEnv, StepResult
 from annealed_il.envs.keydoor import (
     CH_AGENT,
+    CH_DOOR,
     CH_EMPTY,
+    CH_GOAL,
     CH_KEY,
+    CH_WALL,
+    N_CHANNELS,
     GridState,
     encode_grid_obs,
     keydoor_reset,
     keydoor_step,
 )
+from annealed_il.experts import astar_plan
 
 
 def test_reset_rejects_unsupported_size():
@@ -55,6 +61,10 @@ def test_step_rejects_bad_action():
         keydoor_step(s, 4)
     with pytest.raises(ValueError):
         keydoor_step(s, -1)
+    # non-integral actions are refused, not truncated to a move
+    for action in (1.5, 3.99):
+        with pytest.raises(ValueError):
+            keydoor_step(s, action)
 
 
 def test_step_rejects_terminal_state():
@@ -217,3 +227,45 @@ def test_episode_total_reward_in_zero_one():
             if result.done or result.truncated:
                 break
         assert total in (0.0, 1.0)
+
+
+def _reference_encode(state):
+    """The full-grid encoder: an index grid, a fancy-indexed one-hot, then the flag."""
+    n = state.grid_size
+    grid = np.full((n, n), CH_EMPTY, dtype=np.int64)
+    if state.wall_col is not None:
+        grid[:, state.wall_col] = CH_WALL
+    grid[state.door_pos] = CH_DOOR
+    grid[state.goal_pos] = CH_GOAL
+    if not state.has_key:
+        grid[state.key_pos] = CH_KEY
+    grid[state.agent_pos] = CH_AGENT
+    onehot = np.zeros((n * n, N_CHANNELS))
+    onehot[np.arange(n * n), grid.ravel()] = 1.0
+    return np.concatenate([onehot.ravel(), [1.0 if state.has_key else 0.0]])
+
+
+@pytest.mark.parametrize("size", [8, 10, 12])
+def test_encoding_matches_reference_byte_for_byte(size):
+    # even episodes follow the A* plan, so they pick up the key, open the
+    # door, stand on it and reach the goal; odd ones walk at random to the horizon
+    rng = np.random.default_rng(size)
+    seen = dict(has_key=0, door_open=0, on_key=0, on_door=0, on_goal=0)
+    for episode in range(8):
+        s = keydoor_reset(size, 1000 * size + episode)
+        plan = astar_plan(s) if episode % 2 == 0 else rng.integers(4, size=s.horizon).tolist()
+        for action in [None] + plan:
+            if action is not None:
+                s, _ = keydoor_step(s, action)
+            for state in (s, replace(s, wall_col=None)):
+                obs = encode_grid_obs(state)
+                assert obs.dtype == np.float64
+                assert obs.tobytes() == _reference_encode(state).tobytes()
+            seen["has_key"] += s.has_key
+            seen["door_open"] += s.door_open
+            seen["on_key"] += s.agent_pos == s.key_pos
+            seen["on_door"] += s.agent_pos == s.door_pos
+            seen["on_goal"] += s.agent_pos == s.goal_pos
+            if s.is_terminal():
+                break
+    assert all(seen.values()), seen

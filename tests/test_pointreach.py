@@ -1,10 +1,23 @@
 """Point-reach env: analytic step cases, bounds, determinism."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from annealed_il.envs import PointReachEnv
-from annealed_il.envs.pointreach import PointState, encode_point_obs, point_reset, point_step
+from annealed_il.envs import PointReachEnv, StepResult
+from annealed_il.envs.pointreach import (
+    ACCEL_GAIN,
+    CTRL_COST,
+    DECAY,
+    GOAL_RADIUS,
+    HORIZON,
+    V_MAX,
+    PointState,
+    encode_point_obs,
+    point_reset,
+    point_step,
+)
 
 
 def test_reset_within_bounds_and_separated():
@@ -103,3 +116,53 @@ def test_replay_determinism():
         if r1.done or r1.truncated:
             break
     assert e1.state == e2.state
+
+
+def _reference_step(state, action, ctrl_cost=CTRL_COST):
+    """The all-numpy step: 2-vector clips for the action, velocity and position."""
+    action = np.asarray(action, dtype=np.float64).reshape(2)
+    action = np.clip(action, -1.0, 1.0)
+    vel = np.clip(DECAY * np.asarray(state.vel) + ACCEL_GAIN * action, -V_MAX, V_MAX)
+    pos = np.clip(np.asarray(state.pos) + vel, -1.0, 1.0)
+    new_state = replace(
+        state,
+        pos=(float(pos[0]), float(pos[1])),
+        vel=(float(vel[0]), float(vel[1])),
+        steps_elapsed=state.steps_elapsed + 1,
+    )
+    target = np.asarray(new_state.target)
+    dist = float(np.hypot(pos[0] - target[0], pos[1] - target[1]))
+    reward = -dist - ctrl_cost * float(action @ action)
+    done = dist < GOAL_RADIUS
+    truncated = not done and new_state.steps_elapsed >= HORIZON
+    obs = np.concatenate([pos, vel, target - pos])
+    return new_state, StepResult(obs=obs, reward=reward, done=done, truncated=truncated)
+
+
+def test_step_matches_reference_bit_for_bit():
+    # half the episodes push steadily in one direction, so the velocity
+    # saturates and the point pins against the box; actions reach +-2
+    rng = np.random.default_rng(0)
+    seen = dict(big_action=0, v_max=0, wall=0, done=0, truncated=0)
+    steps, seed = 0, 0
+    while steps < 12_000:
+        s = ref = point_reset(seed)
+        push = rng.uniform(-2.0, 2.0, size=2) if seed % 2 == 0 else np.zeros(2)
+        seed += 1
+        for _ in range(HORIZON):
+            action = push + rng.uniform(-1.5, 1.5, size=2)
+            s, result = point_step(s, action)
+            ref, expected = _reference_step(ref, action)
+            steps += 1
+            assert s == ref
+            assert result.obs.tobytes() == expected.obs.tobytes()
+            assert np.float64(result.reward).tobytes() == np.float64(expected.reward).tobytes()
+            assert (result.done, result.truncated) == (expected.done, expected.truncated)
+            seen["big_action"] += bool(np.any(np.abs(action) > 1.0))
+            seen["v_max"] += V_MAX in np.abs(s.vel)
+            seen["wall"] += 1.0 in np.abs(s.pos)
+            seen["done"] += result.done
+            seen["truncated"] += result.truncated
+            if result.done or result.truncated:
+                break
+    assert all(seen.values()), seen

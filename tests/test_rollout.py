@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from annealed_il import dists
 from annealed_il.envs import ActionSpec, make_env
-from annealed_il.nets import build_policy_net
+from annealed_il.nets import LOG_STD_MAX, LOG_STD_MIN, build_policy_net
 from annealed_il.rollout import (
     EnvRunner,
     RolloutBuffer,
@@ -12,6 +13,7 @@ from annealed_il.rollout import (
     compute_advantages,
     discounted_returns,
     normalize_advantages,
+    sample_policy_action,
 )
 
 
@@ -139,3 +141,67 @@ def test_collect_rollout_deterministic():
     assert np.array_equal(a.actions, b.actions)
     assert np.array_equal(a.log_probs, b.log_probs)
     assert a.completed_returns == b.completed_returns
+
+
+def _reference_sample(net, spec, obs, rng):
+    """sample_policy_action composed from the dists functions."""
+    outs, _ = net.forward(obs[None, :])
+    pi = outs["pi"][0]
+    value = float(outs["v"][0, 0])
+    if spec.kind == "discrete":
+        action = dists.categorical_sample(pi[None, :], rng)
+        return action, float(dists.categorical_log_prob(pi[None, :], [action])[0]), value
+    log_std, _ = dists.clamped_log_std(net.extras["log_std"])
+    action = dists.gaussian_sample(pi, log_std, rng, spec.low, spec.high)
+    return action, float(dists.gaussian_log_prob(pi[None, :], log_std, action[None, :])[0]), value
+
+
+class _FixedHeadNet:
+    """A stand-in policy net whose forward returns the given logits and value 0."""
+
+    def __init__(self, logits):
+        self.logits = np.asarray(logits, dtype=np.float64)
+
+    def forward(self, x):
+        return {"pi": self.logits[None, :], "v": np.zeros((1, 1))}, None
+
+
+def _assert_same_sample(net, spec, obs, seed):
+    got = sample_policy_action(net, spec, obs, np.random.default_rng(seed))
+    want = _reference_sample(net, spec, obs, np.random.default_rng(seed))
+    assert np.asarray(got[0]).tobytes() == np.asarray(want[0]).tobytes()
+    assert type(got[0]) is type(want[0])
+    assert np.float64(got[1]).tobytes() == np.float64(want[1]).tobytes()
+    assert got[2] == want[2]
+
+
+@pytest.mark.parametrize("env_id", ["keydoor8", "pointreach"])
+def test_sample_policy_action_matches_dists_composition(env_id):
+    env = make_env(env_id)
+    spec = env.action_spec
+    net = build_policy_net(env.obs_dim, spec, np.random.default_rng(0))
+    rng = np.random.default_rng(1)
+    # in range, and below and above the clamp on each coordinate
+    log_stds = [np.array([-0.5, 0.3]), np.array([LOG_STD_MIN - 2.0, LOG_STD_MAX + 1.0]), np.array([3.0, -9.0])]
+    for i in range(300):
+        if spec.kind == "continuous":
+            net.extras["log_std"] = log_stds[i % 3]
+        obs = env.reset(i) if i % 2 else rng.standard_normal(env.obs_dim) * 3.0
+        _assert_same_sample(net, spec, obs, seed=i)
+    # peaked and flat logits drive the draw into every bin
+    spec = ActionSpec(kind="discrete", n=4)
+    for i in range(300):
+        _assert_same_sample(_FixedHeadNet(rng.standard_normal(4) * rng.uniform(0.1, 40.0)), spec, np.zeros(1), seed=i)
+
+
+def test_sample_policy_action_stays_in_range_when_cumsum_rounds_below_one():
+    class TopDraw:
+        def random(self):
+            return 1.0 - 2.0**-53  # the largest draw below 1
+
+    net = _FixedHeadNet([-1.37317748, 0.66058537, -3.02885455, -0.62752672])
+    spec = ActionSpec(kind="discrete", n=4)
+    assert np.cumsum(dists.softmax(net.logits))[-1] < 1.0 - 2.0**-53
+    got = sample_policy_action(net, spec, np.zeros(1), TopDraw())
+    assert got == _reference_sample(net, spec, np.zeros(1), TopDraw())
+    assert got[0] == 3
