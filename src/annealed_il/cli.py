@@ -6,6 +6,7 @@ and --dataset behave uniformly across subcommands.
 """
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from .data import DatasetError, save_dataset
 from .envs import make_env
 from .evaluate import evaluate_checkpoint
 from .experts import AStarExpert, PointExpert, collect
-from .reproduce import BUNDLES, GRID_THRESHOLD
+from .reproduce import BUNDLES, GRID_THRESHOLD, reproduce
 from .runner import run
 
 
@@ -40,31 +41,10 @@ def cmd_collect_expert(args) -> int:
     return 0
 
 
-TRAIN_OVERRIDES = (
-    ("env", str),
-    ("algorithm", str),
-    ("alpha", float),
-    ("half_life", int),
-    ("disc_mode", str),
-    ("total_steps", int),
-    ("rollout_steps", int),
-    ("eval_every", int),
-    ("lr", float),
-    ("dataset", str),
-    ("out", str),
-    ("run_name", str),
-)
-
-
 def cmd_train(args) -> int:
     config = TrainConfig.from_file(args.config) if args.config else TrainConfig()
-    overrides = {}
-    for name, _ in TRAIN_OVERRIDES:
-        value = getattr(args, name)
-        if value is not None:
-            overrides[name] = value
-    if args.size is not None:
-        overrides["grid_size"] = args.size
+    fields = {f.name for f in dataclasses.fields(TrainConfig)}
+    overrides = {k: v for k, v in vars(args).items() if k in fields and v is not None}
     if args.seed is not None:
         overrides["seeds"] = _parse_seeds(args.seed)
     config = TrainConfig.from_dict({**config.to_dict(), **overrides})
@@ -90,17 +70,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    bundle = BUNDLES[args.bundle]
-    kwargs = {
-        "seeds": _parse_seeds(args.seed) if args.seed else None,
-        "total_steps": args.total_steps,
-        "dataset": args.dataset,
-    }
-    if args.out is not None:
-        kwargs["out"] = args.out
-    if args.bundle == "gridworld":
-        kwargs["size"] = args.size
-    print(bundle(**kwargs))
+    seeds = _parse_seeds(args.seed) if args.seed else None
+    print(reproduce(args.bundle, args.size, seeds, args.out, args.total_steps, args.dataset))
     return 0
 
 
@@ -122,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train one algorithm configuration")
     p.add_argument("--config", help="JSON config file; flags override its fields")
     p.add_argument("--env", choices=["keydoor", "pointreach"])
-    p.add_argument("--size", type=int, help="grid size (keydoor only)")
+    p.add_argument("--size", dest="grid_size", type=int, help="grid size (keydoor only)")
     p.add_argument("--algorithm")
     p.add_argument("--alpha", type=float, help="fixed tradeoff weight (bcgail_fixed)")
     p.add_argument("--half-life", dest="half_life", type=int)

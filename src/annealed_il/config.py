@@ -3,20 +3,42 @@
 import json
 import os
 from dataclasses import asdict, dataclass, field, replace
-from typing import List, Optional
+from typing import List, Optional, Union
 
-ALGORITHMS = (
-    "bc",
-    "gail",
-    "bcgail_annealed",
-    "bcgail_fixed",
-    "bc_pretrain_gail",
-    "random_reward_ablation",
-    "reinforce",
-)
+from .schedule import AnnealSchedule
 
-# algorithms that train on expert demonstrations
-NEEDS_DATASET = tuple(a for a in ALGORITHMS if a != "reinforce")
+
+@dataclass(frozen=True)
+class Learner:
+    """What sets one algorithm apart: its reward, its cloning weight, and
+    whether supervised cloning runs before adversarial training.
+
+    ``reward`` is "disc" (a trained discriminator), "frozen_disc" (an
+    untrained one), "task" (the true sparse reward, no expert data) or
+    "none" (supervised cloning only, no rollouts).  ``alpha`` is a fixed
+    weight, "annealed" (``alpha0**t`` with the configured half-life) or
+    "config" (the configured ``alpha``).
+    """
+
+    reward: str
+    alpha: Union[float, str]
+    bc_pretrain: bool = False
+
+    def schedule(self, config: "TrainConfig") -> AnnealSchedule:
+        if self.alpha == "annealed":
+            return AnnealSchedule.annealed(config.half_life)
+        return AnnealSchedule.fixed(config.alpha if self.alpha == "config" else self.alpha)
+
+
+LEARNERS = {
+    "bc": Learner("none", 1.0),
+    "gail": Learner("disc", 0.0),
+    "bcgail_annealed": Learner("disc", "annealed"),
+    "bcgail_fixed": Learner("disc", "config"),
+    "bc_pretrain_gail": Learner("disc", 0.0, bc_pretrain=True),
+    "random_reward_ablation": Learner("frozen_disc", "config"),
+    "reinforce": Learner("task", 0.0),
+}
 
 OUT_ROOT_ENV_VAR = "ANNEALED_IL_OUT"
 
@@ -45,7 +67,6 @@ class TrainConfig:
     entropy_coef: Optional[float] = None  # per-env default
     value_coef: float = 0.5
     disc_updates: int = 3  # discriminator steps per iteration
-    max_grad_norm: Optional[float] = None  # optional global gradient-norm clip
     ppo_clip: Optional[float] = None  # None = plain policy-gradient update
     ppo_epochs: int = 4  # only used when ppo_clip is set
     bc_batch: int = 256
@@ -135,8 +156,9 @@ def resolve(config: TrainConfig) -> TrainConfig:
 def validate(config: TrainConfig) -> TrainConfig:
     """Resolve defaults and check the configuration before any compute."""
     config = resolve(config)
-    if config.algorithm not in ALGORITHMS:
-        raise ConfigError(f"unknown algorithm {config.algorithm!r}; expected one of {ALGORITHMS}")
+    if config.algorithm not in LEARNERS:
+        raise ConfigError(f"unknown algorithm {config.algorithm!r}; expected one of {tuple(LEARNERS)}")
+    learner = LEARNERS[config.algorithm]
     if not config.seeds:
         raise ConfigError("seeds must be nonempty")
     if len(set(config.seeds)) != len(config.seeds):
@@ -151,16 +173,16 @@ def validate(config: TrainConfig) -> TrainConfig:
         raise ConfigError("eval_episodes must be >= 1")
     if config.env == "keydoor" and config.grid_size not in (8, 10, 12):
         raise ConfigError(f"grid_size must be 8, 10 or 12, got {config.grid_size}")
-    if config.algorithm == "bcgail_fixed":
+    if learner.alpha == "config":
         if config.alpha is None:
-            raise ConfigError("bcgail_fixed requires alpha")
+            raise ConfigError(f"{config.algorithm} requires alpha")
         if not 0.0 <= config.alpha <= 1.0:
             raise ConfigError(f"alpha must be in [0, 1], got {config.alpha}")
-    if config.algorithm == "bcgail_annealed" and config.half_life < 1:
+    if learner.alpha == "annealed" and config.half_life < 1:
         raise ConfigError("half_life must be >= 1")
     if config.disc_mode not in ("gan", "wgan"):
         raise ConfigError(f"disc_mode must be gan or wgan, got {config.disc_mode!r}")
-    if config.algorithm in NEEDS_DATASET:
+    if learner.reward != "task":
         if not config.dataset:
             raise ConfigError(f"algorithm {config.algorithm!r} requires a dataset path")
         if not os.path.exists(config.dataset):

@@ -150,17 +150,26 @@ def load_dataset(path) -> Dataset:
             obs = np.asarray(record["obs"][j], dtype=np.float64)
             if obs.shape != (obs_dim,):
                 raise DatasetError(f"record {i}: obs {j} has dim {obs.shape}, expected ({obs_dim},)")
+            if not np.isfinite(obs).all():
+                raise DatasetError(f"record {i}: non-finite obs at step {j}")
             reward = float(record["rewards"][j])
             if not np.isfinite(reward):
                 raise DatasetError(f"record {i}: non-finite reward at step {j}")
+            action = record["actions"][j]
             if action_spec.kind == "discrete":
-                action = int(record["actions"][j])
-                if not 0 <= action < action_spec.n:
-                    raise DatasetError(f"record {i}: action {action} out of range at step {j}")
+                if type(action) is not int or not 0 <= action < action_spec.n:
+                    raise DatasetError(
+                        f"record {i}: action {action!r} is not an integer in 0..{action_spec.n - 1} at step {j}"
+                    )
             else:
-                action = np.asarray(record["actions"][j], dtype=np.float64)
+                action = np.asarray(action, dtype=np.float64)
                 if action.shape != (action_spec.dim,):
                     raise DatasetError(f"record {i}: action {j} has shape {action.shape}")
+                # NaN fails both comparisons
+                if not ((action >= action_spec.low) & (action <= action_spec.high)).all():
+                    raise DatasetError(
+                        f"record {i}: action {action.tolist()} outside [{action_spec.low}, {action_spec.high}] at step {j}"
+                    )
             transitions.append(Transition(obs=obs, action=action, reward=reward, done=bool(record["dones"][j])))
         trajectories.append(Trajectory(transitions))
 

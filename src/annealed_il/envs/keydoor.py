@@ -168,7 +168,6 @@ class KeyDoorEnv:
         self.env_id = f"keydoor{grid_size}"
         self.obs_dim = N_CHANNELS * grid_size * grid_size + 1
         self.action_spec = ActionSpec(kind="discrete", n=N_ACTIONS)
-        self.horizon = 4 * grid_size * grid_size
         self.state: Optional[GridState] = None
 
     def reset(self, seed: int) -> np.ndarray:

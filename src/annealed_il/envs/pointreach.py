@@ -47,9 +47,7 @@ def point_reset(rng_seed: int) -> PointState:
     return PointState(pos=(float(pos[0]), float(pos[1])), vel=(0.0, 0.0), target=(float(target[0]), float(target[1])))
 
 
-def point_step(
-    state: PointState, action: np.ndarray, ctrl_cost: float = CTRL_COST
-) -> Tuple[PointState, StepResult]:
+def point_step(state: PointState, action: np.ndarray) -> Tuple[PointState, StepResult]:
     """Advance one step on Python floats; numpy checks and clips the action.
 
     The control cost stays the BLAS dot ``action @ action`` and the distance
@@ -70,7 +68,7 @@ def point_step(
     py = min(max(py + vy, -1.0), 1.0)
     new_state = PointState(pos=(px, py), vel=(vx, vy), target=state.target, steps_elapsed=state.steps_elapsed + 1)
     dist = new_state.distance()
-    reward = -dist - ctrl_cost * float(action @ action)
+    reward = -dist - CTRL_COST * float(action @ action)
     done = dist < GOAL_RADIUS
     truncated = not done and new_state.steps_elapsed >= HORIZON
     return new_state, StepResult(obs=encode_point_obs(new_state), reward=reward, done=done, truncated=truncated)
@@ -85,12 +83,10 @@ def encode_point_obs(state: PointState) -> np.ndarray:
 class PointReachEnv:
     """Stateful wrapper over the functional reset/step ops."""
 
-    def __init__(self, ctrl_cost: float = CTRL_COST):
+    def __init__(self):
         self.env_id = "pointreach"
         self.obs_dim = 6
         self.action_spec = ActionSpec(kind="continuous", dim=2, low=-1.0, high=1.0)
-        self.horizon = HORIZON
-        self.ctrl_cost = ctrl_cost
         self.state = None
 
     def reset(self, seed: int) -> np.ndarray:
@@ -100,5 +96,5 @@ class PointReachEnv:
     def step(self, action: np.ndarray) -> StepResult:
         if self.state is None:
             raise RuntimeError("reset() must be called before step()")
-        self.state, result = point_step(self.state, action, self.ctrl_cost)
+        self.state, result = point_step(self.state, action)
         return result

@@ -94,12 +94,12 @@ PD_KP = 1.0
 PD_KD = 0.5
 
 
-def point_expert(obs: np.ndarray, k_p: float = PD_KP, k_d: float = PD_KD) -> np.ndarray:
+def point_expert(obs: np.ndarray) -> np.ndarray:
     """PD control law on the point-reach observation (pos, vel, target-pos)."""
     obs = np.asarray(obs, dtype=np.float64)
     vel = obs[2:4]
     err = obs[4:6]
-    return np.clip(k_p * err - k_d * vel, -1.0, 1.0)
+    return np.clip(PD_KP * err - PD_KD * vel, -1.0, 1.0)
 
 
 class AStarExpert:
@@ -113,15 +113,11 @@ class AStarExpert:
 
 
 class PointExpert:
-    def __init__(self, k_p: float = PD_KP, k_d: float = PD_KD):
-        self.k_p = k_p
-        self.k_d = k_d
-
     def start_episode(self, env) -> None:
         pass
 
     def act(self, obs: np.ndarray) -> np.ndarray:
-        return point_expert(obs, self.k_p, self.k_d)
+        return point_expert(obs)
 
 
 class RandomPolicy:

@@ -8,23 +8,6 @@ seed) produce byte-identical files.
 from dataclasses import dataclass, fields
 from typing import List
 
-METRICS_COLUMNS = (
-    "phase",
-    "iteration",
-    "env_steps",
-    "alpha",
-    "total_loss",
-    "bc_loss",
-    "pg_loss",
-    "value_loss",
-    "entropy",
-    "disc_loss",
-    "mean_reward",
-    "mean_episode_return",
-    "episodes",
-    "val_loss",
-)
-
 NAN = float("nan")
 
 
@@ -44,6 +27,9 @@ class IterationMetrics:
     mean_episode_return: float = NAN
     episodes: int = 0
     val_loss: float = NAN
+
+
+METRICS_COLUMNS = tuple(f.name for f in fields(IterationMetrics))
 
 
 def _format(value) -> str:
@@ -66,7 +52,7 @@ class MetricsWriter:
         self._file.flush()
 
     def write(self, row: IterationMetrics) -> None:
-        values = [_format(getattr(row, f.name)) for f in fields(IterationMetrics)]
+        values = [_format(getattr(row, name)) for name in METRICS_COLUMNS]
         self._file.write(",".join(values) + "\n")
         self._file.flush()
 

@@ -83,13 +83,6 @@ class MLP:
     def zero_grads(self) -> List[np.ndarray]:
         return [np.zeros_like(p) for p in self.params()]
 
-    def copy(self) -> "MLP":
-        clone = MLP(self.in_dim, self.hidden, self.head_dims, rng=None)
-        clone.extras = {k: v.copy() for k, v in self.extras.items()}
-        for dst, src in zip(clone.params(), self.params()):
-            dst[...] = src
-        return clone
-
     # -- forward / backward ----------------------------------------------
 
     def forward(self, x: np.ndarray) -> Tuple[Dict[str, np.ndarray], dict]:
@@ -158,14 +151,14 @@ def set_flat(net: MLP, flat: np.ndarray) -> None:
         raise ValueError(f"flat vector has {flat.size} entries, net needs {offset}")
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 class Adam:
     """Bias-corrected Adam on a list of parameter arrays, updating in place."""
 
-    def __init__(self, params: List[np.ndarray], lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: List[np.ndarray], lr: float):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
@@ -177,29 +170,18 @@ class Adam:
             if not np.all(np.isfinite(g)):
                 raise ValueError("non-finite gradient")
         self.t += 1
-        c1 = 1.0 - self.beta1**self.t
-        c2 = 1.0 - self.beta2**self.t
+        c1 = 1.0 - ADAM_BETA1**self.t
+        c2 = 1.0 - ADAM_BETA2**self.t
         for p, g, m, v in zip(params, grads, self.m, self.v):
-            m[...] = self.beta1 * m + (1.0 - self.beta1) * g
-            v[...] = self.beta2 * v + (1.0 - self.beta2) * g * g
-            p -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            m[...] = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+            v[...] = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
+            p -= self.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
 def clip_params(net: MLP, bound: float) -> None:
     """Clamp every parameter into [-bound, bound] (WGAN critic clipping)."""
     for p in net.params():
         np.clip(p, -bound, bound, out=p)
-
-
-def clip_grad_norm(grads: List[np.ndarray], max_norm: Optional[float]) -> List[np.ndarray]:
-    """Rescale gradients so their global L2 norm is at most max_norm."""
-    if max_norm is None:
-        return grads
-    total = np.sqrt(sum(float(np.sum(g * g)) for g in grads))
-    if total <= max_norm:
-        return grads
-    scale = max_norm / (total + 1e-12)
-    return [g * scale for g in grads]
 
 
 # -- network builders ------------------------------------------------------

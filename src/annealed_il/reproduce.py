@@ -5,9 +5,9 @@ missing, trains every configuration across the requested seeds, and
 emits a comparison table plus learning-curve files.
 """
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from .compare import compare, format_table
 from .config import TrainConfig
@@ -21,9 +21,38 @@ GRID_THRESHOLD = 0.9
 POINT_THRESHOLD = -120.0  # halfway between random (~-234) and expert (~-3.5)
 DATASET_SEED = 990_000
 
-RANDOM_REWARD_TRAJECTORIES = 5
-SWEEP_TRAJECTORIES = 1
-SWEEP_ALPHAS = (0.25, 0.5, 0.75)
+
+@dataclass(frozen=True)
+class Bundle:
+    """One experiment: its environment, expert data, success threshold and runs."""
+
+    env: str
+    trajectories: Optional[int]  # None: GRID_TRAJECTORIES of the grid size
+    dataset_file: str  # file name under <out>/datasets, formatted with env_id
+    threshold: float
+    runs: Tuple[dict, ...]  # TrainConfig fields of each run
+
+
+BUNDLES = {
+    # baseline ladder on the Key-Door grid: cloning, adversarial, annealed
+    # combination, cloning-pretrained adversarial, sparse-reward policy gradient
+    "gridworld": Bundle(
+        "keydoor", None, "{env_id}.jsonl", GRID_THRESHOLD,
+        tuple({"algorithm": a} for a in ("bc", "gail", "bcgail_annealed", "bc_pretrain_gail", "reinforce")),
+    ),
+    # frozen-discriminator ablation: fixed weight 0.5 with untrained (random)
+    # rewards against the cloning baseline
+    "random-reward": Bundle(
+        "pointreach", 5, "pointreach5.jsonl", POINT_THRESHOLD,
+        ({"algorithm": "random_reward_ablation"}, {"algorithm": "bc"}),
+    ),
+    # annealed tradeoff weight against fixed values with a single expert trajectory
+    "annealing-sweep": Bundle(
+        "pointreach", 1, "pointreach1.jsonl", POINT_THRESHOLD,
+        tuple({"algorithm": "bcgail_fixed", "alpha": a} for a in (0.25, 0.5, 0.75))
+        + ({"algorithm": "bcgail_annealed"},),
+    ),
+}
 
 
 def ensure_dataset(env_id: str, n_trajectories: int, path: Path) -> Path:
@@ -37,102 +66,33 @@ def ensure_dataset(env_id: str, n_trajectories: int, path: Path) -> Path:
     return path
 
 
-def _run_all(configs: List[TrainConfig], threshold: float, out: Path) -> str:
-    run_dirs = [run(c) for c in configs]
-    summaries = compare(run_dirs, threshold, out_dir=out / "comparison")
-    return format_table(summaries, threshold)
-
-
-def reproduce_gridworld(
+def reproduce(
+    name: str,
     size: int = 8,
     seeds: Optional[List[int]] = None,
-    out: str = "runs/gridworld",
+    out: Optional[str] = None,
     total_steps: Optional[int] = None,
     dataset: Optional[str] = None,
 ) -> str:
-    """Baseline ladder on the Key-Door grid: cloning, adversarial, annealed
-    combination, cloning-pretrained adversarial, and sparse-reward policy
-    gradient."""
-    seeds = seeds or [0, 1, 2]
-    out_path = Path(out)
+    """Run bundle ``name`` and return its comparison table.
+
+    ``size`` is the keydoor grid size; ``out`` defaults to
+    ``runs/<name>`` with dashes as underscores.
+    """
+    bundle = BUNDLES[name]
+    out_path = Path(out or f"runs/{name.replace('-', '_')}")
     base = TrainConfig(
-        env="keydoor",
+        env=bundle.env,
         grid_size=size,
-        seeds=list(seeds),
+        seeds=list(seeds or [0, 1, 2]),
         out=str(out_path),
         total_steps=total_steps,
     )
     if dataset is None:
-        dataset = ensure_dataset(
-            base.env_id, GRID_TRAJECTORIES[size], out_path / "datasets" / f"{base.env_id}.jsonl"
-        )
+        n = GRID_TRAJECTORIES[size] if bundle.trajectories is None else bundle.trajectories
+        path = out_path / "datasets" / bundle.dataset_file.format(env_id=base.env_id)
+        dataset = ensure_dataset(base.env_id, n, path)
     base = replace(base, dataset=str(dataset))
-    configs = [
-        replace(base, algorithm="bc"),
-        replace(base, algorithm="gail"),
-        replace(base, algorithm="bcgail_annealed"),
-        replace(base, algorithm="bc_pretrain_gail"),
-        replace(base, algorithm="reinforce"),
-    ]
-    return _run_all(configs, GRID_THRESHOLD, out_path)
-
-
-def reproduce_random_reward(
-    seeds: Optional[List[int]] = None,
-    out: str = "runs/random_reward",
-    total_steps: Optional[int] = None,
-    dataset: Optional[str] = None,
-) -> str:
-    """Frozen-discriminator ablation on point-reach: the fixed-0.5 learner
-    with untrained (random) rewards against the cloning baseline."""
-    seeds = seeds or [0, 1, 2]
-    out_path = Path(out)
-    if dataset is None:
-        dataset = ensure_dataset(
-            "pointreach", RANDOM_REWARD_TRAJECTORIES, out_path / "datasets" / "pointreach5.jsonl"
-        )
-    base = TrainConfig(
-        env="pointreach",
-        seeds=list(seeds),
-        dataset=str(dataset),
-        out=str(out_path),
-        total_steps=total_steps,
-    )
-    configs = [
-        replace(base, algorithm="random_reward_ablation"),
-        replace(base, algorithm="bc"),
-    ]
-    return _run_all(configs, POINT_THRESHOLD, out_path)
-
-
-def reproduce_annealing_sweep(
-    seeds: Optional[List[int]] = None,
-    out: str = "runs/annealing_sweep",
-    total_steps: Optional[int] = None,
-    dataset: Optional[str] = None,
-) -> str:
-    """Annealed tradeoff weight against fixed values on point-reach with a
-    single expert trajectory."""
-    seeds = seeds or [0, 1, 2]
-    out_path = Path(out)
-    if dataset is None:
-        dataset = ensure_dataset(
-            "pointreach", SWEEP_TRAJECTORIES, out_path / "datasets" / "pointreach1.jsonl"
-        )
-    base = TrainConfig(
-        env="pointreach",
-        seeds=list(seeds),
-        dataset=str(dataset),
-        out=str(out_path),
-        total_steps=total_steps,
-    )
-    configs = [replace(base, algorithm="bcgail_fixed", alpha=a) for a in SWEEP_ALPHAS]
-    configs.append(replace(base, algorithm="bcgail_annealed"))
-    return _run_all(configs, POINT_THRESHOLD, out_path)
-
-
-BUNDLES = {
-    "gridworld": reproduce_gridworld,
-    "random-reward": reproduce_random_reward,
-    "annealing-sweep": reproduce_annealing_sweep,
-}
+    run_dirs = [run(replace(base, **fields)) for fields in bundle.runs]
+    summaries = compare(run_dirs, bundle.threshold, out_dir=out_path / "comparison")
+    return format_table(summaries, bundle.threshold)

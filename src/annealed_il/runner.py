@@ -11,12 +11,12 @@ import json
 from pathlib import Path
 from typing import Optional
 
-from .config import NEEDS_DATASET, ConfigError, TrainConfig, validate
+from .config import LEARNERS, ConfigError, TrainConfig, validate
 from .data import Dataset, load_dataset, split_bc
 from .envs import make_env
 from .losses import disc_inputs, disc_loss
 from .metrics import IterationMetrics, MetricsWriter
-from .nets import build_policy_net, clip_grad_norm, clip_params, save_checkpoint
+from .nets import build_policy_net, clip_params, save_checkpoint
 from .rollout import collect_rollout
 from .trainer import build_trainer, spawn_rngs, train_bc_supervised, train_iteration
 from .evaluate import EvalReport, evaluate_net, pool_reports, write_json
@@ -26,7 +26,7 @@ BC_SHUFFLE_STREAM = 4
 
 
 def _load_and_check_dataset(config: TrainConfig) -> Optional[Dataset]:
-    if config.algorithm not in NEEDS_DATASET:
+    if LEARNERS[config.algorithm].reward == "task":
         return None
     dataset = load_dataset(config.dataset)
     if dataset.env_id != config.env_id:
@@ -44,6 +44,10 @@ def run(config: TrainConfig) -> Path:
     dataset = _load_and_check_dataset(config)
 
     run_dir = Path(config.out_root) / config.name
+    own = {f"seed_{seed}" for seed in config.seeds}
+    stale = sorted(p.name for p in run_dir.glob("seed_*") if p.is_dir() and p.name not in own)
+    if stale:
+        raise ConfigError(f"{run_dir} holds {', '.join(stale)}, which are not among seeds {config.seeds}")
     run_dir.mkdir(parents=True, exist_ok=True)
     with open(run_dir / "config.json", "w") as f:
         json.dump(config.to_dict(), f, indent=2)
@@ -84,7 +88,7 @@ def _run_seed(config: TrainConfig, dataset: Optional[Dataset], seed: int, seed_d
     evals = _EvalLog(seed_dir / "eval.jsonl", make_env(config.env_id), config.eval_episodes, eval_seed)
 
     try:
-        if config.algorithm == "bc":
+        if LEARNERS[config.algorithm].reward == "none":
             policy = build_policy_net(env.obs_dim, env.action_spec, rngs[0])
             _bc_phase(policy, env, dataset, config, seed, rngs, metrics)
             final = evals.record(policy, 0, "final")
@@ -140,7 +144,7 @@ def _disc_pretrain_phase(state, config, env_spec, metrics) -> None:
         idx_p = state.rng_batch.integers(0, len(policy_in), size=batch)
         expert_in = disc_inputs(state.expert_obs[idx_e], state.expert_actions[idx_e], env_spec)
         loss, grads = disc_loss(state.disc, expert_in, policy_in[idx_p], state.disc_mode)
-        state.opt_disc.step(state.disc.params(), clip_grad_norm(grads, config.max_grad_norm))
+        state.opt_disc.step(state.disc.params(), grads)
         if state.disc_mode.variant == "wgan":
             clip_params(state.disc, state.disc_mode.clip)
         metrics.write(
@@ -155,14 +159,15 @@ def _disc_pretrain_phase(state, config, env_spec, metrics) -> None:
 
 
 def _rollout_run(config, env, dataset, seed, rngs, metrics, evals, seed_dir):
+    bc_pretrain = LEARNERS[config.algorithm].bc_pretrain
     pretrained = None
-    if config.algorithm == "bc_pretrain_gail":
+    if bc_pretrain:
         pretrained = build_policy_net(env.obs_dim, env.action_spec, rngs[0])
         _bc_phase(pretrained, env, dataset, config, seed, rngs, metrics)
 
     state = build_trainer(config, env, dataset, rngs=rngs[:4], policy=pretrained)
 
-    if config.algorithm == "bc_pretrain_gail":
+    if bc_pretrain:
         post_bc = evals.record(state.policy, state.env_steps, "post_bc")
         write_json(seed_dir / "eval_postbc.json", post_bc.to_dict())
         _disc_pretrain_phase(state, config, env.action_spec, metrics)

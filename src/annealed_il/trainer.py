@@ -13,11 +13,11 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .config import TrainConfig
+from .config import LEARNERS, Learner, TrainConfig
 from .data import Dataset
 from .losses import DiscMode, disc_inputs, disc_loss, policy_loss, surrogate_reward
 from .metrics import NAN, IterationMetrics
-from .nets import MLP, Adam, build_disc_net, build_policy_net, clip_grad_norm, clip_params
+from .nets import MLP, Adam, build_disc_net, build_policy_net, clip_params
 from .rollout import (
     EnvRunner,
     collect_rollout,
@@ -28,39 +28,14 @@ from .rollout import (
 from .schedule import AnnealSchedule, alpha_at
 
 
-@dataclass(frozen=True)
-class AlgoSpec:
-    """What a training iteration does for a given algorithm."""
-
-    uses_disc: bool
-    disc_frozen: bool
-    uses_bc_term: bool
-    monte_carlo: bool  # reward-to-go instead of bootstrapped advantages
-    schedule: AnnealSchedule
-
-
-def algo_spec(config: TrainConfig) -> AlgoSpec:
-    a = config.algorithm
-    if a in ("gail", "bc_pretrain_gail"):
-        return AlgoSpec(True, False, True, False, AnnealSchedule.fixed(0.0))
-    if a == "bcgail_annealed":
-        return AlgoSpec(True, False, True, False, AnnealSchedule.annealed(config.half_life))
-    if a == "bcgail_fixed":
-        return AlgoSpec(True, False, True, False, AnnealSchedule.fixed(config.alpha))
-    if a == "random_reward_ablation":
-        return AlgoSpec(True, True, True, False, AnnealSchedule.fixed(config.alpha))
-    if a == "reinforce":
-        return AlgoSpec(False, False, False, True, AnnealSchedule.fixed(0.0))
-    raise ValueError(f"algorithm {a!r} has no rollout-training loop")
-
-
 @dataclass
 class TrainerState:
     policy: MLP
     opt_policy: Adam
     disc: Optional[MLP]
     opt_disc: Optional[Adam]
-    spec: AlgoSpec
+    learner: Learner
+    schedule: AnnealSchedule
     disc_mode: DiscMode
     runner: EnvRunner
     expert_obs: Optional[np.ndarray]
@@ -79,35 +54,32 @@ def build_trainer(
     config: TrainConfig,
     env,
     dataset: Optional[Dataset],
-    seed: Optional[int] = None,
-    rngs: Optional[List[np.random.Generator]] = None,
+    rngs: List[np.random.Generator],
     policy: Optional[MLP] = None,
 ) -> TrainerState:
     """Assemble nets, optimizers and rng streams for one seeded run.
 
-    Either ``seed`` or four rng streams must be given.  ``policy`` lets a
-    caller hand over a pretrained net (cloning pretraining baseline)
-    instead of a fresh one.  A ``wgan`` critic is clipped into
-    [-wgan_clip, wgan_clip] from construction on, so a frozen critic
-    (``random_reward_ablation``) lies in the same box as a trained one.
+    ``rngs`` are the four streams (init, env, actions, batch), e.g.
+    ``spawn_rngs(seed, 4)``.  ``policy`` lets a caller hand over a
+    pretrained net (cloning pretraining baseline) instead of a fresh one.
+    A ``wgan`` critic is clipped into [-wgan_clip, wgan_clip] from
+    construction on, so a frozen critic (``random_reward_ablation``) lies
+    in the same box as a trained one.
     """
-    spec = algo_spec(config)
-    if rngs is None:
-        rngs = spawn_rngs(seed, 4)
+    learner = LEARNERS[config.algorithm]
+    if learner.reward == "none":
+        raise ValueError(f"algorithm {config.algorithm!r} has no rollout-training loop")
     rng_init, rng_env, rng_actions, rng_batch = rngs
     if policy is None:
         policy = build_policy_net(env.obs_dim, env.action_spec, rng_init)
 
     disc_mode = DiscMode(variant=config.disc_mode, clip=config.wgan_clip)
-    disc = opt_disc = None
-    if spec.uses_disc:
+    disc = opt_disc = expert_obs = expert_actions = None
+    if learner.reward != "task":
         disc = build_disc_net(env.obs_dim, env.action_spec, rng_init)
         if disc_mode.variant == "wgan":
             clip_params(disc, disc_mode.clip)
         opt_disc = Adam(disc.params(), lr=config.disc_lr)
-
-    expert_obs = expert_actions = None
-    if spec.uses_bc_term or spec.uses_disc:
         if dataset is None or len(dataset) == 0:
             raise ValueError("this algorithm needs a nonempty expert dataset")
         expert_obs, expert_actions = dataset.pairs()
@@ -117,7 +89,8 @@ def build_trainer(
         opt_policy=Adam(policy.params(), lr=config.lr),
         disc=disc,
         opt_disc=opt_disc,
-        spec=spec,
+        learner=learner,
+        schedule=learner.schedule(config),
         disc_mode=disc_mode,
         runner=EnvRunner(env, rng_env),
         expert_obs=expert_obs,
@@ -139,36 +112,33 @@ def train_iteration(state: TrainerState, config: TrainConfig, env_spec) -> Itera
     state.env_steps += n
 
     disc_loss_value = NAN
-    if state.spec.uses_disc and not state.spec.disc_frozen:
+    if state.learner.reward == "disc":
         policy_in = disc_inputs(buf.obs, buf.actions, env_spec)
         for _ in range(config.disc_updates):
             e_obs, e_act = _sample_expert_batch(state, n)
             loss, grads = disc_loss(
                 state.disc, disc_inputs(e_obs, e_act, env_spec), policy_in, state.disc_mode
             )
-            state.opt_disc.step(state.disc.params(), clip_grad_norm(grads, config.max_grad_norm))
+            state.opt_disc.step(state.disc.params(), grads)
             if state.disc_mode.variant == "wgan":
                 clip_params(state.disc, state.disc_mode.clip)
             disc_loss_value = loss
 
-    if state.spec.uses_disc:
+    imitating = state.learner.reward != "task"
+    expert_obs = expert_actions = None
+    if imitating:
         buf.rewards = surrogate_reward(state.disc, buf.obs, buf.actions, env_spec, state.disc_mode)
-    else:
+        raw_adv, value_targets = compute_advantages(buf, config.gamma, config.lam)
+        value_coef = config.value_coef
+        # drawn even at alpha 0 (gail), where the batch does not enter the loss
+        expert_obs, expert_actions = _sample_expert_batch(state, n)
+    else:  # reward-to-go on the task reward, no value baseline
         buf.rewards = buf.env_rewards.copy()
-
-    if state.spec.monte_carlo:
         raw_adv = discounted_returns(buf, config.gamma)
         value_targets = raw_adv.copy()
         value_coef = 0.0
-    else:
-        raw_adv, value_targets = compute_advantages(buf, config.gamma, config.lam)
-        value_coef = config.value_coef
     advantages = normalize_advantages(raw_adv)
-
-    alpha = alpha_at(state.spec.schedule, state.iteration)
-    expert_obs = expert_actions = None
-    if state.spec.uses_bc_term:
-        expert_obs, expert_actions = _sample_expert_batch(state, n)
+    alpha = alpha_at(state.schedule, state.iteration)
 
     epochs = config.ppo_epochs if config.ppo_clip is not None else 1
     for _ in range(epochs):
@@ -187,7 +157,7 @@ def train_iteration(state: TrainerState, config: TrainConfig, env_spec) -> Itera
             old_log_probs=buf.log_probs if config.ppo_clip is not None else None,
             ppo_clip=config.ppo_clip,
         )
-        state.opt_policy.step(state.policy.params(), clip_grad_norm(grads, config.max_grad_norm))
+        state.opt_policy.step(state.policy.params(), grads)
 
     metrics = IterationMetrics(
         phase="rl",
@@ -195,7 +165,7 @@ def train_iteration(state: TrainerState, config: TrainConfig, env_spec) -> Itera
         env_steps=state.env_steps,
         alpha=alpha,
         total_loss=total,
-        bc_loss=parts["bc"] if state.spec.uses_bc_term else NAN,
+        bc_loss=parts["bc"] if imitating else NAN,
         pg_loss=parts["pg"],
         value_loss=parts["value"],
         entropy=parts["entropy"],
@@ -243,7 +213,7 @@ def train_bc_supervised(
         for start in range(0, len(order), config.bc_batch):
             idx = order[start : start + config.bc_batch]
             loss, grads = bc_loss(policy, env_spec, train_obs[idx], train_actions[idx])
-            opt.step(policy.params(), clip_grad_norm(grads, config.max_grad_norm))
+            opt.step(policy.params(), grads)
             batch_losses.append(loss)
         val_nll = float(-action_log_probs(policy, env_spec, val_obs, val_actions).mean())
         epochs_run = epoch + 1

@@ -111,6 +111,44 @@ def test_out_of_range_action_rejected(grid_dataset, tmp_path):
         load_dataset(tmp_path / "bad.jsonl")
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "kind, column, value",
+    [
+        ("grid", "actions", 1.5),
+        ("grid", "actions", 3.99),
+        ("grid", "actions", True),
+        ("grid", "actions", "2"),
+        ("grid", "obs", NAN),
+        ("point", "obs", INF),
+        ("point", "obs", -INF),
+        ("point", "actions", [NAN, 5.0]),
+        ("point", "actions", [NAN, 0.0]),
+        ("point", "actions", [0.0, 5.0]),
+        ("point", "actions", [-1.5, 0.0]),
+    ],
+    ids=[
+        "action-1.5", "action-3.99", "action-true", "action-string", "obs-nan", "obs-inf", "obs-minus-inf",
+        "action-nan-and-5", "action-nan", "action-above-high", "action-below-low",
+    ],
+)
+def test_malformed_step_rejected_with_record_and_step(kind, column, value, grid_dataset, point_dataset, tmp_path):
+    path = tmp_path / "data.jsonl"
+    save_dataset(grid_dataset if kind == "grid" else point_dataset, path)
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[2])
+    if column == "obs":
+        record["obs"][3][1] = value  # one entry of the observation vector
+    else:
+        record["actions"][3] = value
+    lines[2] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DatasetError, match=r"record 2: .* at step 3"):
+        load_dataset(path)
+
+
 def test_split_seventy_thirty(grid_dataset):
     train, val = split_bc(grid_dataset, 0.7, rng_seed=0)
     assert len(train) == 7 and len(val) == 3

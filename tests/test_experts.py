@@ -105,12 +105,12 @@ def test_point_expert_zero_error_zero_action():
 def test_point_expert_pd_law():
     # pos=(0,0), vel=(0,0), target=(1,0): err=(1,0) -> action (1, 0)
     obs = np.array([0.0, 0.0, 0.0, 0.0, 1.0, 0.0])
-    assert np.allclose(point_expert(obs, k_p=1.0, k_d=0.5), [1.0, 0.0])
+    assert np.allclose(point_expert(obs), [1.0, 0.0])
     # the derivative term opposes velocity and the result clamps to [-1, 1]
     obs = np.array([0.0, 0.0, 0.5, 0.0, 1.0, 0.0])
-    assert np.allclose(point_expert(obs, k_p=1.0, k_d=0.5), [0.75, 0.0])
+    assert np.allclose(point_expert(obs), [0.75, 0.0])
     obs = np.array([0.0, 0.0, -1.0, 0.0, 1.0, 0.0])
-    assert np.allclose(point_expert(obs, k_p=2.0, k_d=1.0), [1.0, 0.0])
+    assert np.allclose(point_expert(obs), [1.0, 0.0])
 
 
 def test_point_expert_beats_random():

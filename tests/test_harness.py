@@ -3,11 +3,12 @@ and the CLI surface."""
 
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
 
-from annealed_il.cli import main
+from annealed_il.cli import build_parser, main
 from annealed_il.compare import compare, pooled_curve, smooth, steps_to_threshold
 from annealed_il.config import ConfigError, TrainConfig, resolve, validate
 from annealed_il.data import save_dataset
@@ -161,6 +162,17 @@ def test_bc_pretrain_gail_phases(tmp_path, point_dataset_path):
     assert rl[-1]["env_steps"] <= 512
 
 
+def test_run_refuses_a_directory_holding_other_seeds(tmp_path, point_dataset_path):
+    run_dir = run(tiny_config(point_dataset_path, str(tmp_path), seeds=[0, 1]))
+    config_before = (run_dir / "config.json").read_bytes()
+    with pytest.raises(ConfigError, match="seed_0, seed_1"):
+        run(tiny_config(point_dataset_path, str(tmp_path), seeds=[5]))
+    assert (run_dir / "config.json").read_bytes() == config_before
+    assert sorted(p.name for p in run_dir.iterdir()) == ["config.json", "report.json", "seed_0", "seed_1"]
+    # a rerun whose seeds cover every seed directory is allowed
+    run(tiny_config(point_dataset_path, str(tmp_path), seeds=[1, 0, 2]))
+
+
 def test_run_rejects_env_mismatch(tmp_path, grid_dataset_path):
     config = tiny_config(grid_dataset_path, str(tmp_path))  # pointreach env, grid data
     with pytest.raises(ConfigError, match="does not match"):
@@ -237,9 +249,11 @@ def test_compare_single_run_and_idempotent_pair(tmp_path, point_dataset_path):
 
 
 def test_compare_reads_only_the_configured_seeds(tmp_path, point_dataset_path):
-    # a rerun with fewer seeds leaves the old seed directories in place
-    run(tiny_config(point_dataset_path, str(tmp_path), seeds=[0, 1]))
+    # seed directories of another run, planted next to this run's own
+    other_dir = run(tiny_config(point_dataset_path, str(tmp_path / "other"), seeds=[0, 1]))
     run_dir = run(tiny_config(point_dataset_path, str(tmp_path), seeds=[5]))
+    for seed in (0, 1):
+        shutil.copytree(other_dir / f"seed_{seed}", run_dir / f"seed_{seed}")
     assert sorted(p.name for p in run_dir.glob("seed_*")) == ["seed_0", "seed_1", "seed_5"]
     rows = [json.loads(line) for line in (run_dir / "seed_5" / "eval.jsonl").read_text().splitlines()]
     (summary,) = compare([run_dir], threshold=0.0)
@@ -298,6 +312,37 @@ def test_cli_collect_train_evaluate_compare(tmp_path, capsys):
     assert main(["compare", str(run_dir), "--threshold", "-5", "--out", str(tmp_path / "cmp")]) == 0
     out = capsys.readouterr().out
     assert "bcgail_fixed0.25" in out
+
+
+def test_cli_train_flags_land_in_config(tmp_path, point_dataset_path):
+    file_config = tmp_path / "base.json"
+    file_config.write_text(json.dumps({"eval_episodes": 2, "value_coef": 0.25, "lr": 0.5}))
+    flags = {
+        "--env": ("env", "pointreach"),
+        "--size": ("grid_size", 10),
+        "--algorithm": ("algorithm", "bcgail_annealed"),
+        "--alpha": ("alpha", 0.3),
+        "--half-life": ("half_life", 7),
+        "--disc-mode": ("disc_mode", "gan"),
+        "--steps": ("total_steps", 256),
+        "--rollout-steps": ("rollout_steps", 128),
+        "--eval-every": ("eval_every", 3),
+        "--lr": ("lr", 0.001),
+        "--seed": ("seeds", [4, 5]),
+        "--dataset": ("dataset", point_dataset_path),
+        "--out": ("out", str(tmp_path / "runs")),
+        "--name": ("run_name", "flags"),
+    }
+    train_parser = build_parser()._subparsers._group_actions[0].choices["train"]
+    options = {o for a in train_parser._actions for o in a.option_strings} - {"-h", "--help", "--config"}
+    assert options == set(flags), "every train flag is covered here"
+    argv = ["train", "--config", str(file_config)]
+    for flag, (_, value) in flags.items():
+        argv += [flag, ",".join(map(str, value)) if isinstance(value, list) else str(value)]
+    assert main(argv) == 0
+    config = json.loads((tmp_path / "runs" / "flags" / "config.json").read_text())
+    assert {key: config[key] for key, _ in flags.values()} == dict(flags.values())
+    assert (config["eval_episodes"], config["value_coef"]) == (2, 0.25)  # from the file, not overridden
 
 
 def test_cli_missing_dataset_fails_before_compute(tmp_path, capsys):

@@ -37,15 +37,15 @@ def test_zero_distance_zero_action_terminates_with_zero_reward():
 
 def test_analytic_corner_distance_reward():
     s = PointState(pos=(1.0, 1.0), vel=(0.0, 0.0), target=(-1.0, -1.0))
-    _, result = point_step(s, np.zeros(2), ctrl_cost=0.0)
+    _, result = point_step(s, np.zeros(2))
     assert result.reward == pytest.approx(-2.0 * np.sqrt(2.0))
     assert not result.done
 
 
 def test_control_cost_charged_on_action():
     s = PointState(pos=(0.0, 0.0), vel=(0.0, 0.0), target=(0.0, 0.5))
-    _, r0 = point_step(s, np.zeros(2), ctrl_cost=0.01)
-    _, r1 = point_step(s, np.array([1.0, 0.0]), ctrl_cost=0.01)
+    _, r0 = point_step(s, np.zeros(2))
+    _, r1 = point_step(s, np.array([1.0, 0.0]))
     # moving costs the quadratic control term on top of the new distance
     dist1 = -np.hypot(0.1 - 0.0, 0.5)
     assert r1.reward == pytest.approx(dist1 - 0.01)
@@ -118,7 +118,7 @@ def test_replay_determinism():
     assert e1.state == e2.state
 
 
-def _reference_step(state, action, ctrl_cost=CTRL_COST):
+def _reference_step(state, action):
     """The all-numpy step: 2-vector clips for the action, velocity and position."""
     action = np.asarray(action, dtype=np.float64).reshape(2)
     action = np.clip(action, -1.0, 1.0)
@@ -132,7 +132,7 @@ def _reference_step(state, action, ctrl_cost=CTRL_COST):
     )
     target = np.asarray(new_state.target)
     dist = float(np.hypot(pos[0] - target[0], pos[1] - target[1]))
-    reward = -dist - ctrl_cost * float(action @ action)
+    reward = -dist - CTRL_COST * float(action @ action)
     done = dist < GOAL_RADIUS
     truncated = not done and new_state.steps_elapsed >= HORIZON
     obs = np.concatenate([pos, vel, target - pos])

@@ -5,12 +5,7 @@ import os
 import pytest
 
 from annealed_il.cli import main
-from annealed_il.reproduce import (
-    ensure_dataset,
-    reproduce_annealing_sweep,
-    reproduce_gridworld,
-    reproduce_random_reward,
-)
+from annealed_il.reproduce import ensure_dataset, reproduce
 
 
 def test_ensure_dataset_caches(tmp_path):
@@ -22,14 +17,14 @@ def test_ensure_dataset_caches(tmp_path):
 
 
 def test_random_reward_bundle_micro(tmp_path):
-    table = reproduce_random_reward(seeds=[0], out=str(tmp_path), total_steps=512)
+    table = reproduce("random-reward", seeds=[0], out=str(tmp_path), total_steps=512)
     assert "random_reward_ablation" in table and "bc" in table
     assert (tmp_path / "comparison" / "comparison.csv").exists()
     assert (tmp_path / "random_reward_ablation" / "report.json").exists()
 
 
 def test_annealing_sweep_bundle_micro(tmp_path):
-    table = reproduce_annealing_sweep(seeds=[0], out=str(tmp_path), total_steps=512)
+    table = reproduce("annealing-sweep", seeds=[0], out=str(tmp_path), total_steps=512)
     for name in ("bcgail_fixed0.25", "bcgail_fixed0.5", "bcgail_fixed0.75", "bcgail_annealed"):
         assert name in table
         assert (tmp_path / "comparison" / f"{name}_curve.csv").exists()
@@ -38,7 +33,7 @@ def test_annealing_sweep_bundle_micro(tmp_path):
 @pytest.mark.slow
 def test_gridworld_bundle_micro(tmp_path):
     # dataset collection (200 A* episodes) dominates the runtime here
-    table = reproduce_gridworld(size=8, seeds=[0], out=str(tmp_path), total_steps=512)
+    table = reproduce("gridworld", size=8, seeds=[0], out=str(tmp_path), total_steps=512)
     for name in ("bc", "gail", "bcgail_annealed", "bc_pretrain_gail", "reinforce"):
         assert name in table
 

@@ -1,22 +1,20 @@
-"""Training iteration contracts: determinism, algorithm wiring, critic
+"""Training iteration contracts: determinism, the learner table, critic
 clipping, the frozen-discriminator ablation, and supervised cloning."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from annealed_il.config import TrainConfig, resolve
-from annealed_il.data import split_bc
+from annealed_il.config import LEARNERS, ConfigError, TrainConfig, resolve, validate
+from annealed_il.data import save_dataset, split_bc
 from annealed_il.envs import make_env
 from annealed_il.experts import AStarExpert, PointExpert, collect
+from annealed_il.metrics import read_metrics
 from annealed_il.nets import build_disc_net, build_policy_net, get_flat
-from annealed_il.schedule import AnnealSchedule
-from annealed_il.trainer import (
-    algo_spec,
-    build_trainer,
-    spawn_rngs,
-    train_bc_supervised,
-    train_iteration,
-)
+from annealed_il.runner import run
+from annealed_il.schedule import alpha_at
+from annealed_il.trainer import build_trainer, spawn_rngs, train_bc_supervised, train_iteration
 
 
 def point_config(**kw):
@@ -45,18 +43,54 @@ def grid_dataset():
 
 def run_iterations(config, dataset, n_iterations, seed=0):
     env = make_env(config.env_id)
-    state = build_trainer(config, env, dataset, seed=seed)
+    state = build_trainer(config, env, dataset, spawn_rngs(seed, 4))
     rows = [train_iteration(state, config, env.action_spec) for _ in range(n_iterations)]
     return state, rows
 
 
-def test_algo_spec_wiring():
-    assert algo_spec(point_config(algorithm="gail")).schedule == AnnealSchedule.fixed(0.0)
-    assert algo_spec(point_config(algorithm="reinforce")).uses_disc is False
-    frozen = algo_spec(point_config(algorithm="random_reward_ablation", alpha=0.5))
-    assert frozen.disc_frozen and frozen.uses_disc
-    annealed = algo_spec(point_config(algorithm="bcgail_annealed", half_life=10))
-    assert annealed.schedule.mode == "annealed"
+# algorithm: reward source, alpha at iterations 0, 1, 2 (half_life 2, alpha 0.3),
+# whether it needs expert data, whether cloning runs first
+LEARNER_TABLE = {
+    "bc": ("none", [1.0, 1.0, 1.0], True, False),
+    "gail": ("disc", [0.0, 0.0, 0.0], True, False),
+    "bcgail_annealed": ("disc", [1.0, 0.5**0.5, 0.5], True, False),
+    "bcgail_fixed": ("disc", [0.3, 0.3, 0.3], True, False),
+    "bc_pretrain_gail": ("disc", [0.0, 0.0, 0.0], True, True),
+    "random_reward_ablation": ("frozen_disc", [0.3, 0.3, 0.3], True, False),
+    "reinforce": ("task", [0.0, 0.0, 0.0], False, False),
+}
+
+
+@pytest.mark.parametrize("algorithm", sorted(LEARNERS))
+def test_learner_wiring(algorithm, point_dataset, tmp_path):
+    reward, alphas, needs_dataset, bc_pretrain = LEARNER_TABLE[algorithm]
+    learner = LEARNERS[algorithm]
+    assert (learner.reward, learner.bc_pretrain) == (reward, bc_pretrain)
+    save_dataset(point_dataset, tmp_path / "point.jsonl")
+    config = TrainConfig(
+        env="pointreach", algorithm=algorithm, alpha=0.3, half_life=2, seeds=[0],
+        dataset=str(tmp_path / "point.jsonl"), out=str(tmp_path), total_steps=512,
+        rollout_steps=128, eval_episodes=1, bc_max_epochs=2, disc_pretrain_updates=2,
+    )
+    assert [alpha_at(learner.schedule(config), t) for t in range(3)] == pytest.approx(alphas, rel=1e-15)
+    if needs_dataset:
+        with pytest.raises(ConfigError, match="requires a dataset"):
+            validate(replace(config, dataset=None))
+    else:
+        validate(replace(config, dataset=None))
+
+    # the same decisions, seen in a run's outputs
+    seed_dir = run(config) / "seed_0"
+    rows = read_metrics(seed_dir / "metrics.csv")
+    rl = [r for r in rows if r["phase"] == "rl"]
+    assert any(r["phase"] == "bc" for r in rows) == (reward == "none" or bc_pretrain)
+    assert any(r["phase"] == "disc_pretrain" for r in rows) == bc_pretrain
+    assert (seed_dir / "eval_postbc.json").exists() == bc_pretrain
+    assert bool(rl) == (reward != "none")
+    if rl:
+        assert [r["alpha"] for r in rl[:3]] == pytest.approx(alphas, rel=1e-15)
+        assert all(np.isfinite(r["disc_loss"]) == (reward == "disc") for r in rl)
+        assert all(np.isfinite(r["bc_loss"]) == (reward != "task") for r in rl)
 
 
 def test_iteration_metrics_and_step_accounting(point_dataset):
@@ -88,7 +122,7 @@ def test_gail_is_fixed_zero_alpha(point_dataset):
 def test_frozen_disc_never_updates(point_dataset):
     config = point_config(algorithm="random_reward_ablation", alpha=0.5)
     env = make_env("pointreach")
-    state = build_trainer(config, env, point_dataset, seed=0)
+    state = build_trainer(config, env, point_dataset, spawn_rngs(0, 4))
     disc_before = get_flat(state.disc).copy()
     rows = [train_iteration(state, config, env.action_spec) for _ in range(2)]
     assert np.array_equal(get_flat(state.disc), disc_before)
@@ -106,7 +140,7 @@ def test_wgan_updates_respect_clip(grid_dataset):
         disc_updates=2,
     )
     env = make_env("keydoor8")
-    state = build_trainer(config, env, grid_dataset, seed=0)
+    state = build_trainer(config, env, grid_dataset, spawn_rngs(0, 4))
     for _ in range(3):
         train_iteration(state, config, env.action_spec)
         assert max(np.abs(p).max() for p in state.disc.params()) <= 0.01 + 1e-15
@@ -115,14 +149,14 @@ def test_wgan_updates_respect_clip(grid_dataset):
 @pytest.mark.parametrize("algorithm", ["gail", "random_reward_ablation"])
 def test_wgan_critic_starts_inside_clip_box(point_dataset, algorithm):
     config = point_config(algorithm=algorithm, alpha=0.5, disc_mode="wgan", wgan_clip=0.05)
-    state = build_trainer(config, make_env("pointreach"), point_dataset, seed=0)
+    state = build_trainer(config, make_env("pointreach"), point_dataset, spawn_rngs(0, 4))
     assert max(np.abs(p).max() for p in state.disc.params()) <= 0.05
 
 
 def test_gan_discriminator_keeps_its_initialisation(point_dataset):
     config = point_config(disc_mode="gan", wgan_clip=0.05)
     env = make_env("pointreach")
-    state = build_trainer(config, env, point_dataset, seed=0)
+    state = build_trainer(config, env, point_dataset, spawn_rngs(0, 4))
     rng_init = spawn_rngs(0, 4)[0]
     build_policy_net(env.obs_dim, env.action_spec, rng_init)
     expected = get_flat(build_disc_net(env.obs_dim, env.action_spec, rng_init))
@@ -133,7 +167,7 @@ def test_gan_discriminator_keeps_its_initialisation(point_dataset):
 def test_reinforce_uses_env_reward(grid_dataset):
     config = point_config(env="keydoor", algorithm="reinforce", rollout_steps=64)
     env = make_env("keydoor8")
-    state = build_trainer(config, env, None, seed=0)
+    state = build_trainer(config, env, None, spawn_rngs(0, 4))
     assert state.disc is None
     row = train_iteration(state, config, env.action_spec)
     # keydoor env rewards are sparse 0/1, so the mean is in [0, 1]
@@ -150,7 +184,7 @@ def test_ppo_clip_path_runs(point_dataset):
 def test_trainer_rejects_missing_dataset():
     config = point_config(algorithm="gail")
     with pytest.raises(ValueError):
-        build_trainer(config, make_env("pointreach"), None, seed=0)
+        build_trainer(config, make_env("pointreach"), None, spawn_rngs(0, 4))
 
 
 def test_bc_supervised_improves_and_restores_best(grid_dataset):
