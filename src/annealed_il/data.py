@@ -1,19 +1,20 @@
-"""Trajectory dataset types and line-delimited JSON persistence.
+"""Trajectory dataset types and their binary columnar file format.
 
-File format (one JSON object per line):
+Built like a checkpoint (``nets.save_checkpoint``): one JSON header line
+{"format": "annealed-il/trajectories", "version": 2, "env_id", "obs_dim",
+"action_spec", "lengths"} (each trajectory's step count, N in all), then
+the raw little-endian column blocks, steps in trajectory order:
+``obs`` <f8 N x obs_dim; ``actions`` <i8 N (discrete) or <f8 N x dim
+(continuous); ``rewards`` <f8 N; ``dones`` u1 N, each 0 or 1.
 
-    line 1:   header {"format": "annealed-il/trajectories", "version": 1,
-              "env_id", "obs_dim", "action_spec", "n_trajectories"}
-    line 2+:  one trajectory per line, columnar:
-              {"obs": [[...], ...], "actions": [...], "rewards": [...],
-               "dones": [...]}
-
-Floats are serialized with full round-trip precision, so save/load is
-lossless.
+Values are stored as their bytes, so save/load is bit-exact.  Version 1
+files (line-delimited JSON) are refused: re-run ``collect-expert``.
 """
 
 import json
+import os
 from dataclasses import dataclass
+from pathlib import Path
 from typing import List, Tuple
 
 import numpy as np
@@ -21,11 +22,11 @@ import numpy as np
 from .envs import ActionSpec
 
 FORMAT_NAME = "annealed-il/trajectories"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class DatasetError(ValueError):
-    """Raised on malformed dataset files; names the offending record."""
+    """Raised on malformed dataset files; names the offending header field or step."""
 
 
 @dataclass
@@ -62,139 +63,136 @@ class Dataset:
     def n_transitions(self) -> int:
         return sum(len(t) for t in self.trajectories)
 
+    def _steps(self) -> List[Transition]:
+        return [t for traj in self.trajectories for t in traj.transitions]
+
     def pairs(self) -> Tuple[np.ndarray, np.ndarray]:
         """All (obs, action) pairs flattened across trajectories."""
-        obs = np.array([t.obs for traj in self.trajectories for t in traj.transitions])
-        if self.action_spec.kind == "discrete":
-            actions = np.array(
-                [t.action for traj in self.trajectories for t in traj.transitions], dtype=np.int64
-            )
-        else:
-            actions = np.array([t.action for traj in self.trajectories for t in traj.transitions])
-        return obs, actions
+        steps = self._steps()
+        dtype = np.int64 if self.action_spec.kind == "discrete" else None
+        return np.array([t.obs for t in steps]), np.array([t.action for t in steps], dtype=dtype)
 
 
-def _traj_record(traj: Trajectory, action_spec: ActionSpec) -> dict:
-    if action_spec.kind == "discrete":
-        actions = [int(t.action) for t in traj.transitions]
-    else:
-        actions = [np.asarray(t.action, dtype=float).tolist() for t in traj.transitions]
+def _action_dtype(spec: ActionSpec) -> Tuple[str, int]:
+    """Column dtype and values per step of the actions block."""
+    return ("<i8", 1) if spec.kind == "discrete" else ("<f8", spec.dim)
+
+
+def _header(dataset: Dataset) -> dict:
     return {
-        "obs": [np.asarray(t.obs, dtype=float).tolist() for t in traj.transitions],
-        "actions": actions,
-        "rewards": [float(t.reward) for t in traj.transitions],
-        "dones": [bool(t.done) for t in traj.transitions],
-    }
-
-
-def save_dataset(dataset: Dataset, path) -> None:
-    header = {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
         "env_id": dataset.env_id,
         "obs_dim": dataset.obs_dim,
         "action_spec": dataset.action_spec.to_dict(),
-        "n_trajectories": len(dataset.trajectories),
+        "lengths": [len(traj) for traj in dataset.trajectories],
     }
-    with open(path, "w") as f:
-        f.write(json.dumps(header) + "\n")
-        for traj in dataset.trajectories:
-            f.write(json.dumps(_traj_record(traj, dataset.action_spec)) + "\n")
 
 
-def _parse_record(line: str, index: int) -> dict:
+def _blocks(dataset: Dataset):
+    """The column blocks in file order and dtypes; obs one trajectory at a
+    time, so that no second copy of every observation is made at once."""
+    for traj in dataset.trajectories:
+        yield np.array([t.obs for t in traj.transitions], dtype="<f8")
+    steps = dataset._steps()
+    yield np.array([t.action for t in steps], dtype=_action_dtype(dataset.action_spec)[0])
+    yield np.array([t.reward for t in steps], dtype="<f8")
+    yield np.array([t.done for t in steps], dtype="u1")
+
+
+def save_dataset(dataset: Dataset, path) -> None:
+    """Write to exactly ``path``: a temporary file in the same directory
+    replaces it once complete, so an interrupted save leaves no partial file."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        record = json.loads(line)
-    except json.JSONDecodeError as e:
-        raise DatasetError(f"record {index}: invalid JSON ({e})") from e
-    if not isinstance(record, dict):
-        raise DatasetError(f"record {index}: expected an object")
-    return record
+        with open(tmp, "wb") as f:
+            f.write(json.dumps(_header(dataset)).encode() + b"\n")
+            for block in _blocks(dataset):
+                block.tofile(f)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def _parse_header(line: bytes) -> Tuple[dict, ActionSpec]:
+    if not line:
+        raise DatasetError("header: empty file")
+    try:
+        header = json.loads(line)
+    except ValueError as e:
+        raise DatasetError(f"header: not a JSON line ({e})") from e
+    if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
+        raise DatasetError("header: not an annealed-il trajectory dataset")
+    if header.get("version") != FORMAT_VERSION:  # version 1 was line-delimited JSON
+        raise DatasetError(f"header: version {header.get('version')!r} is not {FORMAT_VERSION}; re-run collect-expert")
+    for key in ("env_id", "obs_dim", "action_spec", "lengths"):
+        if key not in header:
+            raise DatasetError(f"header: missing field {key!r}")
+    if not isinstance(header["env_id"], str) or not isinstance(header["lengths"], list):
+        raise DatasetError("header: env_id must be a string and lengths a list")
+    try:  # the spec must survive a round trip unchanged: no coerced strings, floats or extra keys
+        spec = ActionSpec.from_dict(header["action_spec"])
+        valid = spec.to_dict() == header["action_spec"]
+    except (KeyError, TypeError, ValueError, OverflowError):
+        valid = False
+    if not valid:
+        raise DatasetError(f"header: malformed action_spec {header['action_spec']!r}")
+    sizes = [("obs_dim", header["obs_dim"]), ("action_spec.n", spec.n), ("action_spec.dim", spec.dim)]
+    for where, value in sizes + [(f"lengths[{i}]", k) for i, k in enumerate(header["lengths"])]:
+        if type(value) is not int or not 0 <= value < 2**31:  # far beyond any real dataset; numpy can size it
+            raise DatasetError(f"header: {where} is {value!r}, expected an integer in [0, 2**31)")
+    return header, spec
+
+
+def _reject_first(bad: np.ndarray, ends: np.ndarray, describe) -> None:
+    """Raise naming the trajectory and step of the first True row of ``bad``."""
+    rows = np.flatnonzero(bad)
+    if rows.size:
+        row = int(rows[0])
+        i = int(np.searchsorted(ends, row, side="right"))
+        step = row - (int(ends[i - 1]) if i else 0)
+        raise DatasetError(f"trajectory {i} step {step}: {describe(row)}")
 
 
 def load_dataset(path) -> Dataset:
-    with open(path) as f:
-        lines = f.read().splitlines()
-    if not lines:
-        raise DatasetError("record 0: empty file, missing header")
+    with open(path, "rb") as f:
+        header, spec = _parse_header(f.readline())
+        obs_dim, lengths = header["obs_dim"], header["lengths"]
+        n = sum(lengths)
+        a_dtype, a_width = _action_dtype(spec)
+        need = n * (8 * obs_dim + 8 * a_width + 8 + 1)
+        have = os.fstat(f.fileno()).st_size - f.tell()
+        if have != need:
+            raise DatasetError(f"header lengths sum to {n} steps, which need {need} bytes; the file has {have}")
+        obs = np.fromfile(f, dtype="<f8", count=n * obs_dim).reshape(n, obs_dim)
+        actions = np.fromfile(f, dtype=a_dtype, count=n * a_width)
+        rewards = np.fromfile(f, dtype="<f8", count=n)
+        dones = np.fromfile(f, dtype="u1", count=n)
 
-    header = _parse_record(lines[0], 0)
-    for key in ("format", "version", "env_id", "obs_dim", "action_spec", "n_trajectories"):
-        if key not in header:
-            raise DatasetError(f"record 0: header missing field {key!r}")
-    if header["format"] != FORMAT_NAME:
-        raise DatasetError(f"record 0: unknown format {header['format']!r}")
-    if int(header["version"]) > FORMAT_VERSION:
-        raise DatasetError(f"record 0: unsupported version {header['version']}")
-    action_spec = ActionSpec.from_dict(header["action_spec"])
-    obs_dim = int(header["obs_dim"])
+    ends = np.cumsum(lengths, dtype=np.int64)
+    if spec.kind == "discrete":
+        bad_action = (actions < 0) | (actions >= spec.n)
+    else:
+        actions = actions.reshape(n, a_width)
+        bad_action = ~((actions >= spec.low) & (actions <= spec.high)).all(axis=1)  # NaN fails both
+    _reject_first(~np.isfinite(obs).all(axis=1), ends, lambda r: "non-finite observation")
+    _reject_first(bad_action, ends, lambda r: f"action {actions[r].tolist()} outside {spec.to_dict()}")
+    _reject_first(~np.isfinite(rewards), ends, lambda r: f"non-finite reward {rewards[r]}")
+    _reject_first(dones > 1, ends, lambda r: f"done byte {dones[r]} is not 0 or 1")
+    if spec.kind == "discrete":
+        actions = actions.tolist()  # Python ints, as the environments and experts use
 
-    n_expected = int(header["n_trajectories"])
-    body = lines[1:]
-    if len(body) != n_expected:
-        raise DatasetError(
-            f"record {len(body)}: header declares {n_expected} trajectories, file has {len(body)}"
-        )
-
-    trajectories = []
-    for i, line in enumerate(body, start=1):
-        record = _parse_record(line, i)
-        for key in ("obs", "actions", "rewards", "dones"):
-            if key not in record:
-                raise DatasetError(f"record {i}: missing field {key!r}")
-        n = len(record["obs"])
-        if any(len(record[k]) != n for k in ("actions", "rewards", "dones")):
-            raise DatasetError(f"record {i}: column lengths disagree")
-        transitions = []
-        for j in range(n):
-            obs = np.asarray(record["obs"][j], dtype=np.float64)
-            if obs.shape != (obs_dim,):
-                raise DatasetError(f"record {i}: obs {j} has dim {obs.shape}, expected ({obs_dim},)")
-            if not np.isfinite(obs).all():
-                raise DatasetError(f"record {i}: non-finite obs at step {j}")
-            reward = float(record["rewards"][j])
-            if not np.isfinite(reward):
-                raise DatasetError(f"record {i}: non-finite reward at step {j}")
-            action = record["actions"][j]
-            if action_spec.kind == "discrete":
-                if type(action) is not int or not 0 <= action < action_spec.n:
-                    raise DatasetError(
-                        f"record {i}: action {action!r} is not an integer in 0..{action_spec.n - 1} at step {j}"
-                    )
-            else:
-                action = np.asarray(action, dtype=np.float64)
-                if action.shape != (action_spec.dim,):
-                    raise DatasetError(f"record {i}: action {j} has shape {action.shape}")
-                # NaN fails both comparisons
-                if not ((action >= action_spec.low) & (action <= action_spec.high)).all():
-                    raise DatasetError(
-                        f"record {i}: action {action.tolist()} outside [{action_spec.low}, {action_spec.high}] at step {j}"
-                    )
-            transitions.append(Transition(obs=obs, action=action, reward=reward, done=bool(record["dones"][j])))
-        trajectories.append(Trajectory(transitions))
-
-    return Dataset(
-        trajectories=trajectories, env_id=header["env_id"], obs_dim=obs_dim, action_spec=action_spec
-    )
+    steps = [Transition(*step) for step in zip(obs, actions, rewards.tolist(), (dones == 1).tolist())]
+    trajectories = [Trajectory(steps[end - k : end]) for k, end in zip(lengths, ends.tolist())]
+    return Dataset(trajectories=trajectories, env_id=header["env_id"], obs_dim=obs_dim, action_spec=spec)
 
 
 def datasets_equal(a: Dataset, b: Dataset) -> bool:
-    """Field-by-field equality, used by round-trip tests."""
-    if (a.env_id, a.obs_dim, a.action_spec) != (b.env_id, b.obs_dim, b.action_spec):
+    """Bit-for-bit equality of what save_dataset would write for each."""
+    if _header(a) != _header(b):
         return False
-    if len(a) != len(b):
-        return False
-    for ta, tb in zip(a.trajectories, b.trajectories):
-        if len(ta) != len(tb):
-            return False
-        for x, y in zip(ta.transitions, tb.transitions):
-            if not np.array_equal(x.obs, y.obs):
-                return False
-            if not np.array_equal(np.asarray(x.action), np.asarray(y.action)):
-                return False
-            if x.reward != y.reward or x.done != y.done:
-                return False
-    return True
+    return all(x.tobytes() == y.tobytes() for x, y in zip(_blocks(a), _blocks(b)))
 
 
 def split_bc(dataset: Dataset, fraction: float = 0.7, rng_seed: int = 0) -> Tuple[Dataset, Dataset]:

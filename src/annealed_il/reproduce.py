@@ -37,18 +37,18 @@ BUNDLES = {
     # baseline ladder on the Key-Door grid: cloning, adversarial, annealed
     # combination, cloning-pretrained adversarial, sparse-reward policy gradient
     "gridworld": Bundle(
-        "keydoor", None, "{env_id}.jsonl", GRID_THRESHOLD,
+        "keydoor", None, "{env_id}.bin", GRID_THRESHOLD,
         tuple({"algorithm": a} for a in ("bc", "gail", "bcgail_annealed", "bc_pretrain_gail", "reinforce")),
     ),
     # frozen-discriminator ablation: fixed weight 0.5 with untrained (random)
     # rewards against the cloning baseline
     "random-reward": Bundle(
-        "pointreach", 5, "pointreach5.jsonl", POINT_THRESHOLD,
+        "pointreach", 5, "pointreach5.bin", POINT_THRESHOLD,
         ({"algorithm": "random_reward_ablation"}, {"algorithm": "bc"}),
     ),
     # annealed tradeoff weight against fixed values with a single expert trajectory
     "annealing-sweep": Bundle(
-        "pointreach", 1, "pointreach1.jsonl", POINT_THRESHOLD,
+        "pointreach", 1, "pointreach1.bin", POINT_THRESHOLD,
         tuple({"algorithm": "bcgail_fixed", "alpha": a} for a in (0.25, 0.5, 0.75))
         + ({"algorithm": "bcgail_annealed"},),
     ),

@@ -243,7 +243,7 @@ def _final(run_dir) -> tuple:
 def grid_bundle(tmp_path_factory):
     """Baseline ladder on keydoor8 with 200 expert trajectories (criteria 5, 6)."""
     out = tmp_path_factory.mktemp("grid_bundle")
-    data = out / "keydoor8.jsonl"
+    data = out / "keydoor8.bin"
     save_dataset(collect(make_env("keydoor8"), AStarExpert(), 200, 990000), data)
     base = TrainConfig(
         env="keydoor", grid_size=8, seeds=SEEDS, dataset=str(data), out=str(out),
@@ -310,7 +310,7 @@ def test_criterion_6_pretraining_degradation(grid_bundle):
 @pytest.mark.slow
 def test_criterion_7_random_reward_ablation(tmp_path_factory):
     out = tmp_path_factory.mktemp("random_reward")
-    data = out / "point5.jsonl"
+    data = out / "point5.bin"
     save_dataset(collect(make_env("pointreach"), PointExpert(), 5, 990000), data)
     base = TrainConfig(env="pointreach", seeds=SEEDS, dataset=str(data), out=str(out),
                        total_steps=POINT_STEPS)
@@ -327,7 +327,7 @@ def test_criterion_7_random_reward_ablation(tmp_path_factory):
 @pytest.mark.slow
 def test_criterion_8_annealing_vs_fixed(tmp_path_factory):
     out = tmp_path_factory.mktemp("sweep")
-    data = out / "point1.jsonl"
+    data = out / "point1.bin"
     save_dataset(collect(make_env("pointreach"), PointExpert(), 1, 990000), data)
     base = TrainConfig(env="pointreach", seeds=SEEDS, dataset=str(data), out=str(out),
                        total_steps=POINT_STEPS)
@@ -366,7 +366,7 @@ def test_criterion_8_annealing_vs_fixed(tmp_path_factory):
 
 @pytest.mark.slow
 def test_criterion_9_determinism(tmp_path):
-    data = tmp_path / "point.jsonl"
+    data = tmp_path / "point.bin"
     save_dataset(collect(make_env("pointreach"), PointExpert(), 3, 0), data)
     config = TrainConfig(
         env="pointreach",
@@ -392,7 +392,7 @@ def test_criterion_9_determinism(tmp_path):
 
 @pytest.mark.slow
 def test_criterion_10_boundary_equivalence(tmp_path):
-    data = tmp_path / "point.jsonl"
+    data = tmp_path / "point.bin"
     save_dataset(collect(make_env("pointreach"), PointExpert(), 3, 0), data)
     base = TrainConfig(
         env="pointreach",

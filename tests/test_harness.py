@@ -22,14 +22,14 @@ from annealed_il.runner import run
 
 @pytest.fixture(scope="module")
 def point_dataset_path(tmp_path_factory):
-    path = tmp_path_factory.mktemp("data") / "point.jsonl"
+    path = tmp_path_factory.mktemp("data") / "point.bin"
     save_dataset(collect(make_env("pointreach"), PointExpert(), 5, 0), path)
     return str(path)
 
 
 @pytest.fixture(scope="module")
 def grid_dataset_path(tmp_path_factory):
-    path = tmp_path_factory.mktemp("data") / "grid.jsonl"
+    path = tmp_path_factory.mktemp("data") / "grid.bin"
     save_dataset(collect(make_env("keydoor8"), AStarExpert(), 6, 0), path)
     return str(path)
 
@@ -71,7 +71,7 @@ def test_validate_catches_bad_configs(point_dataset_path):
     with pytest.raises(ConfigError, match="dataset"):
         validate(tiny_config(None, "x", algorithm="bc", dataset=None))
     with pytest.raises(ConfigError, match="not found"):
-        validate(tiny_config("/nonexistent/data.jsonl", "x"))
+        validate(tiny_config("/nonexistent/data.bin", "x"))
     with pytest.raises(ConfigError, match="grid_size"):
         validate(TrainConfig(env="keydoor", grid_size=9, algorithm="reinforce"))
     with pytest.raises(ConfigError, match="eval_every"):
@@ -294,7 +294,7 @@ def test_compare_rejects_mixed_envs(tmp_path, point_dataset_path, grid_dataset_p
 
 
 def test_cli_collect_train_evaluate_compare(tmp_path, capsys):
-    data = tmp_path / "exp.jsonl"
+    data = tmp_path / "exp.bin"
     assert main(["collect-expert", "--env", "pointreach", "--n", "3", "--seed", "1", "--out", str(data)]) == 0
     assert main([
         "train", "--env", "pointreach", "--algorithm", "bcgail_fixed", "--alpha", "0.25",
@@ -348,7 +348,7 @@ def test_cli_train_flags_land_in_config(tmp_path, point_dataset_path):
 def test_cli_missing_dataset_fails_before_compute(tmp_path, capsys):
     rc = main([
         "train", "--env", "pointreach", "--algorithm", "gail",
-        "--dataset", str(tmp_path / "missing.jsonl"), "--out", str(tmp_path), "--steps", "128",
+        "--dataset", str(tmp_path / "missing.bin"), "--out", str(tmp_path), "--steps", "128",
     ])
     assert rc != 0
     assert "error" in capsys.readouterr().err

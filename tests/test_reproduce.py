@@ -9,7 +9,7 @@ from annealed_il.reproduce import ensure_dataset, reproduce
 
 
 def test_ensure_dataset_caches(tmp_path):
-    path = tmp_path / "d" / "point.jsonl"
+    path = tmp_path / "d" / "point.bin"
     p1 = ensure_dataset("pointreach", 2, path)
     stamp = os.path.getmtime(p1)
     p2 = ensure_dataset("pointreach", 2, path)

@@ -66,10 +66,10 @@ def test_learner_wiring(algorithm, point_dataset, tmp_path):
     reward, alphas, needs_dataset, bc_pretrain = LEARNER_TABLE[algorithm]
     learner = LEARNERS[algorithm]
     assert (learner.reward, learner.bc_pretrain) == (reward, bc_pretrain)
-    save_dataset(point_dataset, tmp_path / "point.jsonl")
+    save_dataset(point_dataset, tmp_path / "point.bin")
     config = TrainConfig(
         env="pointreach", algorithm=algorithm, alpha=0.3, half_life=2, seeds=[0],
-        dataset=str(tmp_path / "point.jsonl"), out=str(tmp_path), total_steps=512,
+        dataset=str(tmp_path / "point.bin"), out=str(tmp_path), total_steps=512,
         rollout_steps=128, eval_episodes=1, bc_max_epochs=2, disc_pretrain_updates=2,
     )
     assert [alpha_at(learner.schedule(config), t) for t in range(3)] == pytest.approx(alphas, rel=1e-15)
