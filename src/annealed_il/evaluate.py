@@ -8,7 +8,6 @@ import numpy as np
 
 from .envs import make_env
 from .nets import MLP, load_checkpoint
-from .rollout import greedy_action
 
 
 @dataclass
@@ -39,22 +38,39 @@ class EvalReport:
 
 
 def evaluate_net(net: MLP, env, n_episodes: int, rng_seed: int, env_steps: int = 0) -> EvalReport:
-    """Deterministic evaluation: greedy actions over n fresh episodes."""
+    """Deterministic evaluation: greedy actions over n fresh episodes, run in lockstep.
+
+    One forward over the live episodes' observations picks every action of a
+    step: the argmax logit, or the Gaussian mean clamped into the action box.
+    Every episode steps through ``env`` itself, with its state swapped into
+    ``env.state``, so ``env.reset`` runs once per episode and ``env.step`` once
+    per episode step.
+    """
     if n_episodes < 1:
         raise ValueError("n_episodes must be >= 1")
     rng = np.random.default_rng(rng_seed)
     reset_seeds = [int(rng.integers(0, 2**63)) for _ in range(n_episodes)]
-    returns = []
-    for seed in reset_seeds:
-        obs = env.reset(seed)
-        total = 0.0
-        while True:
-            result = env.step(greedy_action(net, env.action_spec, obs))
-            total += result.reward
-            obs = result.obs
-            if result.done or result.truncated:
-                break
-        returns.append(total)
+    obs = np.empty((n_episodes, env.obs_dim))
+    states = []
+    for i, seed in enumerate(reset_seeds):
+        obs[i] = env.reset(seed)
+        states.append(env.state)
+    spec = env.action_spec
+    returns = [0.0] * n_episodes
+    live = list(range(n_episodes))
+    while live:
+        pi = net.forward(obs[live])[0]["pi"]
+        actions = pi.argmax(axis=1).tolist() if spec.kind == "discrete" else np.clip(pi, spec.low, spec.high)
+        still_live = []
+        for i, action in zip(live, actions):
+            env.state = states[i]
+            result = env.step(action)
+            states[i] = env.state
+            returns[i] += result.reward
+            obs[i] = result.obs
+            if not (result.done or result.truncated):
+                still_live.append(i)
+        live = still_live
     return EvalReport(returns=returns, env_steps=env_steps)
 
 

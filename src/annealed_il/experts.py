@@ -1,8 +1,9 @@
 """Scripted expert policies and trajectory collection.
 
-The gridworld expert plans with A* in three phases (agent -> key -> door
--> goal) and replays the concatenated action sequence.  The point-reach
-expert is a proportional-derivative controller.  ``collect`` rolls any
+The gridworld expert plans with A* in up to three phases (agent -> key ->
+door -> goal, skipping those a mid-episode state has done) and replays
+the concatenated action sequence.  The point-reach expert is a
+proportional-derivative controller.  ``collect`` rolls any
 policy for a number of complete episodes and packs the result into a
 :class:`~annealed_il.data.Dataset`.
 """
@@ -76,18 +77,32 @@ def _phase_passable(state: GridState, door_passable: bool) -> Callable[[Cell], b
     return passable
 
 
-def astar_plan(state: GridState) -> List[int]:
-    """Full episode plan: agent -> key, key -> door, door -> goal.
+def _past_door(state: GridState, cell: Cell) -> bool:
+    """Whether ``cell`` lies in the goal's room, beyond the dividing wall."""
+    if state.wall_col is None:
+        return False
+    return (cell[1] - state.wall_col) * (state.goal_pos[1] - state.wall_col) > 0
 
-    The door only becomes passable once the key leg is complete.  Raises
+
+def astar_plan(state: GridState) -> List[int]:
+    """Plan from ``state`` to the goal: to the key unless it is held, on to the
+    door unless the agent is already past it, then to the goal.
+
+    The door only becomes passable once the key leg is complete.  From a
+    fresh reset this is the full agent -> key -> door -> goal plan.  Raises
     :class:`PlanningError` if any leg is unreachable, which indicates a
-    broken reset.
+    broken state.
     """
     n = state.grid_size
-    to_key = astar_shortest_path(state.agent_pos, state.key_pos, n, _phase_passable(state, False))
-    to_door = astar_shortest_path(state.key_pos, state.door_pos, n, _phase_passable(state, True))
-    to_goal = astar_shortest_path(state.door_pos, state.goal_pos, n, _phase_passable(state, True))
-    return to_key + to_door + to_goal
+    door_passable = _phase_passable(state, True)
+    plan, pos = [], state.agent_pos
+    if not state.has_key:
+        plan += astar_shortest_path(pos, state.key_pos, n, _phase_passable(state, False))
+        pos = state.key_pos
+    if not _past_door(state, pos):
+        plan += astar_shortest_path(pos, state.door_pos, n, door_passable)
+        pos = state.door_pos
+    return plan + astar_shortest_path(pos, state.goal_pos, n, door_passable)
 
 
 PD_KP = 1.0

@@ -8,6 +8,8 @@ w.r.t. every parameter, aligned with ``params()``.
 """
 
 import json
+import os
+from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -51,8 +53,8 @@ class MLP:
         head_gains = head_gains or {}
 
         def init(n_in, n_out, gain):
-            if rng is None:
-                return np.zeros((n_in, n_out))
+            if rng is None:  # orthogonal_init's memory order, on which BLAS rounding depends
+                return np.zeros((n_out, n_in)).T if n_in < n_out else np.zeros((n_in, n_out))
             return orthogonal_init(rng, n_in, n_out, gain)
 
         self.trunk: List[Tuple[np.ndarray, np.ndarray]] = []
@@ -232,7 +234,11 @@ def build_disc_net(obs_dim: int, action_spec: ActionSpec, rng: np.random.Generat
 
 
 def save_checkpoint(net: MLP, path, meta: Optional[dict] = None) -> None:
-    """Header line (JSON) followed by the raw little-endian float64 params."""
+    """Header line (JSON) followed by the raw little-endian float64 params.
+
+    A temporary file in the same directory replaces ``path`` once complete,
+    so an interrupted save leaves no partial checkpoint.
+    """
     header = {
         "format": CHECKPOINT_MAGIC,
         "version": CHECKPOINT_VERSION,
@@ -243,20 +249,49 @@ def save_checkpoint(net: MLP, path, meta: Optional[dict] = None) -> None:
         "meta": meta or {},
     }
     flat = get_flat(net)
-    with open(path, "wb") as f:
-        f.write(json.dumps(header).encode() + b"\n")
-        f.write(flat.astype("<f8").tobytes())
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(json.dumps(header).encode() + b"\n")
+            f.write(flat.astype("<f8").tobytes())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_checkpoint(path) -> Tuple[MLP, dict]:
+    """Rebuild the net :func:`save_checkpoint` wrote; a file that is not one,
+    or is truncated, padded or non-finite, raises ValueError naming ``path``."""
     with open(path, "rb") as f:
         header_line = f.readline()
         blob = f.read()
-    header = json.loads(header_line)
-    if header.get("format") != CHECKPOINT_MAGIC:
+    try:
+        header = json.loads(header_line)
+    except ValueError as e:
+        raise ValueError(f"{path}: header is not a JSON line ({e})") from e
+    if not isinstance(header, dict) or header.get("format") != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: not a checkpoint file")
-    extras = {name: np.zeros(shape) for name, shape in header["extras"].items()}
-    net = MLP(header["in_dim"], header["hidden"], {k: int(v) for k, v in header["heads"].items()}, extras=extras)
+    missing = [key for key in ("version", "in_dim", "hidden", "heads", "extras", "meta") if key not in header]
+    if missing:
+        raise ValueError(f"{path}: header is missing {', '.join(missing)}")
+    if header["version"] != CHECKPOINT_VERSION:
+        raise ValueError(f"{path}: checkpoint version {header['version']!r} is not {CHECKPOINT_VERSION}")
+    try:
+        extras = {name: np.zeros(shape) for name, shape in header["extras"].items()}
+        heads = {name: int(dim) for name, dim in header["heads"].items()}
+        net = MLP(header["in_dim"], header["hidden"], heads, extras=extras)
+    except (AttributeError, TypeError, ValueError, MemoryError) as e:  # MemoryError: absurd dimensions
+        raise ValueError(f"{path}: malformed header ({e})") from e
+    expected = 8 * sum(p.size for p in net.params())
+    if len(blob) != expected:
+        raise ValueError(
+            f"{path}: parameter block is {len(blob)} bytes, the header's shapes need {expected}"
+            " (truncated or padded file)"
+        )
     flat = np.frombuffer(blob, dtype="<f8")
+    finite = np.isfinite(flat)
+    if not finite.all():
+        raise ValueError(f"{path}: non-finite parameter at flat index {int(np.argmin(finite))}")
     set_flat(net, flat)
     return net, header["meta"]

@@ -68,15 +68,6 @@ def sample_policy_action(net: MLP, spec: ActionSpec, obs: np.ndarray, rng: np.ra
     return action, float(dists.gaussian_log_prob(pi, log_std, action)), value
 
 
-def greedy_action(net: MLP, spec: ActionSpec, obs: np.ndarray):
-    """Mode action: argmax logits, or the clamped Gaussian mean."""
-    outs, _ = net.forward(obs[None, :])
-    pi = outs["pi"][0]
-    if spec.kind == "discrete":
-        return int(np.argmax(pi))
-    return np.clip(pi, spec.low, spec.high)
-
-
 def _state_value(net: MLP, obs: np.ndarray) -> float:
     outs, _ = net.forward(obs[None, :])
     return float(outs["v"][0, 0])

@@ -87,6 +87,21 @@ def test_astar_plan_reaches_goal_with_reward_one():
         assert result.done and total == 1.0
 
 
+@pytest.mark.parametrize("size", [8, 10, 12])
+def test_astar_replans_from_every_state_of_a_walk(size):
+    # once the key is held and the door passed, the plan skips those legs;
+    # a replan from each step of an optimal walk is that walk's remainder
+    for seed in range(20):
+        state = keydoor_reset(size, 500 + seed)
+        remaining = len(astar_plan(state))
+        while not state.is_terminal():
+            plan = astar_plan(state)
+            assert len(plan) == remaining
+            state, result = keydoor_step(state, plan[0])
+            remaining -= 1
+        assert remaining == 0 and result.reward == 1.0 and state.door_open
+
+
 def test_astar_unreachable_fails_loudly():
     with pytest.raises(PlanningError):
         astar_shortest_path((0, 0), (0, 2), 8, lambda cell: cell[1] != 1)

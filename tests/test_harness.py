@@ -13,11 +13,13 @@ from annealed_il.compare import compare, pooled_curve, smooth, steps_to_threshol
 from annealed_il.config import ConfigError, TrainConfig, resolve, validate
 from annealed_il.data import save_dataset
 from annealed_il.envs import make_env
+from annealed_il.envs.keydoor import CH_AGENT, CH_DOOR, CH_GOAL, CH_KEY, CH_WALL, N_CHANNELS, GridState
 from annealed_il.evaluate import evaluate_checkpoint, evaluate_net, pool_reports
-from annealed_il.experts import AStarExpert, PointExpert, collect
+from annealed_il.experts import AStarExpert, PointExpert, astar_plan, collect, point_expert
 from annealed_il.metrics import read_metrics
-from annealed_il.nets import build_policy_net, save_checkpoint
-from annealed_il.runner import run
+from annealed_il.nets import build_policy_net, load_checkpoint, save_checkpoint
+from annealed_il.runner import EVAL_SEED_STREAM, run
+from annealed_il.trainer import spawn_rngs
 
 
 @pytest.fixture(scope="module")
@@ -215,6 +217,102 @@ def test_evaluate_checkpoint_mismatch(tmp_path):
         evaluate_checkpoint(path, "keydoor8", 2, 0)
     report = evaluate_checkpoint(path, "pointreach", 2, 0)
     assert report.n_episodes == 2
+
+
+class RowwiseNet:
+    """Stub policy whose greedy head is computed one row at a time, so a
+    batched forward gives each row exactly what a 1-row forward gives it."""
+
+    def __init__(self, policy):
+        self.policy = policy
+
+    def forward(self, x):
+        return {"pi": np.array([self.policy(row) for row in x])}, {}
+
+
+def replanning_astar_logits(obs):
+    """One-hot logits of the first action of an A* plan from the decoded grid."""
+    n = int(np.sqrt((len(obs) - 1) // N_CHANNELS))
+    cells = obs[:-1].reshape(n, n, N_CHANNELS).argmax(axis=2)
+
+    def find(channel, default=None):
+        found = np.argwhere(cells == channel)
+        return tuple(int(v) for v in found[0]) if len(found) else default
+
+    agent, has_key = find(CH_AGENT), bool(obs[-1])
+    state = GridState(
+        grid_size=n,
+        agent_pos=agent,
+        key_pos=agent if has_key else find(CH_KEY),
+        door_pos=find(CH_DOOR, agent),  # hidden only while the agent stands on it
+        goal_pos=find(CH_GOAL),
+        wall_col=find(CH_WALL)[1],
+        has_key=has_key,
+    )
+    return np.eye(4)[astar_plan(state)[0]]
+
+
+def sequential_reference(net, env, n_episodes, rng_seed):
+    """Reference for evaluate_net: one episode at a time, one 1-row forward
+    per step; also returns each episode's length."""
+    rng = np.random.default_rng(rng_seed)
+    spec = env.action_spec
+    returns, lengths = [], []
+    for seed in [int(rng.integers(0, 2**63)) for _ in range(n_episodes)]:
+        obs = env.reset(seed)
+        total, steps = 0.0, 0
+        while True:
+            pi = net.forward(obs[None, :])[0]["pi"][0]
+            action = int(np.argmax(pi)) if spec.kind == "discrete" else np.clip(pi, spec.low, spec.high)
+            result = env.step(action)
+            total += result.reward
+            steps += 1
+            obs = result.obs
+            if result.done or result.truncated:
+                break
+        returns.append(total)
+        lengths.append(steps)
+    return returns, lengths
+
+
+def count_calls(env, names=("reset", "step")):
+    """Count calls to the instance's own methods, as the benchmark does."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _method=getattr(env, name), _name=name):
+            calls[_name] += 1
+            return _method(*args)
+
+        setattr(env, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("env_id, policy", [("pointreach", point_expert), ("keydoor8", replanning_astar_logits)])
+@pytest.mark.parametrize("n_episodes", [1, 3, 20])
+def test_lockstep_evaluation_matches_sequential_loop(env_id, policy, n_episodes):
+    net = RowwiseNet(policy)
+    expected, lengths = sequential_reference(net, make_env(env_id), n_episodes, rng_seed=11)
+    env = make_env(env_id)
+    calls = count_calls(env)
+    report = evaluate_net(net, env, n_episodes, rng_seed=11)
+    assert np.array(report.returns).tobytes() == np.array(expected).tobytes()
+    assert calls == {"reset": n_episodes, "step": sum(lengths)}
+    if n_episodes == 20:
+        assert len(set(lengths)) > 5  # episodes end at many different steps
+
+
+def test_checkpoint_reevaluation_reproduces_eval_final(tmp_path, point_dataset_path):
+    run_dir = run(tiny_config(point_dataset_path, str(tmp_path), eval_episodes=20))
+    seed_dir = run_dir / "seed_0"
+    recorded = json.loads((seed_dir / "eval_final.json").read_text())
+    eval_seed = int(spawn_rngs(0, 8)[EVAL_SEED_STREAM].integers(0, 2**63))
+    replay = evaluate_checkpoint(seed_dir / "checkpoint_final.ckpt", "pointreach", 20, eval_seed)
+    assert replay.returns == recorded["returns"]
+    loaded, _ = load_checkpoint(seed_dir / "checkpoint_final.ckpt")
+    env = make_env("pointreach")
+    source = build_policy_net(env.obs_dim, env.action_spec, np.random.default_rng(0))
+    for p, q in zip(source.params(), loaded.params()):
+        assert (q.flags.c_contiguous, q.flags.f_contiguous) == (p.flags.c_contiguous, p.flags.f_contiguous)
 
 
 def test_pool_reports_recompute():

@@ -1,5 +1,7 @@
 """MLP forward/backward, Adam, and checkpoint round-trips."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -149,14 +151,20 @@ def test_flat_round_trip():
 def test_checkpoint_round_trip_exact(tmp_path):
     rng = np.random.default_rng(7)
     for spec in (ActionSpec(kind="discrete", n=4), ActionSpec(kind="continuous", dim=2)):
-        net = build_policy_net(9, spec, rng)
-        net.extras.get("log_std", np.zeros(1))[...] = -0.731
+        policy = build_policy_net(9, spec, rng)
+        policy.extras.get("log_std", np.zeros(1))[...] = -0.731
         path = tmp_path / f"{spec.kind}.ckpt"
-        save_checkpoint(net, path, meta={"env_id": "test"})
-        loaded, meta = load_checkpoint(path)
-        assert meta == {"env_id": "test"}
-        assert np.array_equal(get_flat(loaded), get_flat(net))
-        assert loaded.head_dims == net.head_dims
+        # 9 -> 64 and 385 -> 64 first layers: Fortran- and C-ordered weights
+        for net in (policy, build_disc_net(9, spec, rng), build_policy_net(385, spec, rng)):
+            save_checkpoint(net, path, meta={"env_id": "test"})
+            loaded, meta = load_checkpoint(path)
+            assert meta == {"env_id": "test"}
+            assert get_flat(loaded).tobytes() == get_flat(net).tobytes()
+            assert loaded.head_dims == net.head_dims
+            # BLAS rounds a forward differently for C- and Fortran-ordered
+            # weights, so each keeps the memory order the builders give it
+            for p, q in zip(net.params(), loaded.params()):
+                assert (q.flags.c_contiguous, q.flags.f_contiguous) == (p.flags.c_contiguous, p.flags.f_contiguous)
 
 
 def test_checkpoint_rejects_other_files(tmp_path):
@@ -164,6 +172,55 @@ def test_checkpoint_rejects_other_files(tmp_path):
     path.write_bytes(b'{"format": "something"}\n')
     with pytest.raises(ValueError):
         load_checkpoint(path)
+
+
+def _checkpoint_bytes(tmp_path):
+    net = MLP(4, [3], {"pi": 2}, rng=np.random.default_rng(0))
+    save_checkpoint(net, tmp_path / "good.ckpt")
+    header, blob = (tmp_path / "good.ckpt").read_bytes().split(b"\n", 1)
+    return json.loads(header), blob
+
+
+def _without(header, key):
+    return {k: v for k, v in header.items() if k != key}
+
+
+NAN = np.array([np.nan], dtype="<f8").tobytes()
+
+
+@pytest.mark.parametrize(
+    "make, cause",
+    [
+        (lambda h, b: b"\xff{not json\n" + b, "not a JSON line"),
+        (lambda h, b: json.dumps(_without(h, "hidden")).encode() + b"\n" + b, "missing hidden"),
+        (lambda h, b: json.dumps(dict(h, hidden="x")).encode() + b"\n" + b, "malformed header"),
+        (lambda h, b: json.dumps(dict(h, in_dim=10**13)).encode() + b"\n" + b, "malformed header"),
+        (lambda h, b: json.dumps(h).encode() + b"\n" + b[:-8], "truncated or padded"),
+        (lambda h, b: json.dumps(h).encode() + b"\n" + b[:-12], "truncated or padded"),
+        (lambda h, b: json.dumps(h).encode() + b"\n" + b + bytes(8), "truncated or padded"),
+        (lambda h, b: json.dumps(h).encode() + b"\n" + b[:16] + NAN + b[24:], "non-finite parameter at flat index 2"),
+    ],
+    ids=["garbage-header", "missing-field", "bad-shape", "absurd-shape", "short", "short-ragged", "long", "nan"],
+)
+def test_checkpoint_faults_raise_value_error_naming_the_file(tmp_path, make, cause):
+    header, blob = _checkpoint_bytes(tmp_path)
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(make(header, blob))
+    with pytest.raises(ValueError) as info:
+        load_checkpoint(path)
+    assert type(info.value) is ValueError  # not a JSONDecodeError or a reshape error
+    assert str(path) in str(info.value) and cause in str(info.value)
+
+
+def test_interrupted_checkpoint_save_keeps_the_previous_file(tmp_path):
+    net = MLP(4, [3], {"pi": 2}, rng=np.random.default_rng(0))
+    path = tmp_path / "net.ckpt"
+    save_checkpoint(net, path)
+    before = path.read_bytes()
+    with pytest.raises(TypeError):  # the header cannot be serialised
+        save_checkpoint(net, path, meta={"bad": object()})
+    assert path.read_bytes() == before
+    assert sorted(tmp_path.iterdir()) == [path]
 
 
 def test_disc_input_dim():
