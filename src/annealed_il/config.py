@@ -173,6 +173,11 @@ def validate(config: TrainConfig) -> TrainConfig:
         raise ConfigError("eval_episodes must be >= 1")
     if config.env == "keydoor" and config.grid_size not in (8, 10, 12):
         raise ConfigError(f"grid_size must be 8, 10 or 12, got {config.grid_size}")
+    if config.env == "pointreach" and config.grid_size != TrainConfig.grid_size:
+        raise ConfigError(
+            f"grid_size applies to keydoor only; pointreach keeps the default {TrainConfig.grid_size},"
+            f" got {config.grid_size}"
+        )
     if learner.alpha == "config":
         if config.alpha is None:
             raise ConfigError(f"{config.algorithm} requires alpha")

@@ -112,14 +112,16 @@ class MLP:
                 continue
             d_out = np.asarray(d_out, dtype=np.float64)
             head_grads[name] = (h_last.T @ d_out, d_out.sum(axis=0))
-            d_h = d_h + d_out @ w.T
+            # a width-1 head's d_out @ w.T is an outer product: broadcast it
+            d_h += d_out * w[:, 0] if w.shape[1] == 1 else d_out @ w.T
 
         trunk_grads: List[Tuple[np.ndarray, np.ndarray]] = [None] * len(self.trunk)
         for i in range(len(self.trunk) - 1, -1, -1):
             w, _ = self.trunk[i]
             d_z = d_h * (1.0 - activations[i + 1] ** 2)  # tanh'
             trunk_grads[i] = (activations[i].T @ d_z, d_z.sum(axis=0))
-            d_h = d_z @ w.T
+            if i:  # no caller uses the gradient w.r.t. the input
+                d_h = d_z @ w.T
 
         grads: List[np.ndarray] = []
         for gw, gb in trunk_grads:
@@ -174,10 +176,23 @@ class Adam:
         self.t += 1
         c1 = 1.0 - ADAM_BETA1**self.t
         c2 = 1.0 - ADAM_BETA2**self.t
+        # in place, each product and sum in the order of
+        #   m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g
+        #   p -= (lr*(m/c1)) / (sqrt(v/c2) + eps)
         for p, g, m, v in zip(params, grads, self.m, self.v):
-            m[...] = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
-            v[...] = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
-            p -= self.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            g2 = (1.0 - ADAM_BETA2) * g
+            g2 *= g
+            v += g2
+            step = m / c1
+            step *= self.lr
+            denom = v / c2
+            np.sqrt(denom, out=denom)
+            denom += ADAM_EPS
+            step /= denom
+            p -= step
 
 
 def clip_params(net: MLP, bound: float) -> None:

@@ -76,14 +76,14 @@ def reproduce(
 ) -> str:
     """Run bundle ``name`` and return its comparison table.
 
-    ``size`` is the keydoor grid size; ``out`` defaults to
-    ``runs/<name>`` with dashes as underscores.
+    ``size`` is the keydoor grid size (pointreach bundles ignore it);
+    ``out`` defaults to ``runs/<name>`` with dashes as underscores.
     """
     bundle = BUNDLES[name]
     out_path = Path(out or f"runs/{name.replace('-', '_')}")
     base = TrainConfig(
         env=bundle.env,
-        grid_size=size,
+        **({"grid_size": size} if bundle.env == "keydoor" else {}),
         seeds=list(seeds or [0, 1, 2]),
         out=str(out_path),
         total_steps=total_steps,

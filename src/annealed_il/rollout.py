@@ -7,6 +7,7 @@ truncated or buffer-cut steps bootstrap with the value of the next
 observation.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -52,23 +53,41 @@ class EnvRunner:
             self._reset()
 
 
-def sample_policy_action(net: MLP, spec: ActionSpec, obs: np.ndarray, rng: np.random.Generator):
-    """One stochastic action with its log-prob and the state value."""
+def sample_policy_action(net: MLP, spec: ActionSpec, obs: np.ndarray, rng: np.random.Generator, memo=None):
+    """One stochastic action with its log-prob and the state value.
+
+    ``memo`` (discrete specs only) maps an observation's bytes to what
+    sampling needs from the net; it holds only while the parameters stay
+    fixed.  Without one, nothing is kept.
+    """
+    if spec.kind == "discrete":
+        cdf, logp, value = _discrete_outputs(net, obs, {} if memo is None else memo)
+        # the draw is dists.categorical_sample's: the first bin whose cumsum
+        # reaches it, clamped where the cumsum rounds below 1
+        action = min(bisect_left(cdf, rng.random()), len(cdf) - 1)
+        return action, logp[action], value
     outs, _ = net.forward(obs[None, :])
     pi = outs["pi"][0]
-    value = float(outs["v"][0, 0])
-    if spec.kind == "discrete":
-        # one log-softmax gives both the draw and its log-prob; the draw is
-        # dists.categorical_sample's, clamped where the cumsum rounds below 1
-        logp_all = dists.log_softmax(pi)
-        action = min(int(np.searchsorted(np.cumsum(np.exp(logp_all)), rng.random())), len(pi) - 1)
-        return action, float(logp_all[action]), value
     log_std = net.extras["log_std"].clip(LOG_STD_MIN, LOG_STD_MAX)
     action = dists.gaussian_sample(pi, log_std, rng, spec.low, spec.high)
-    return action, float(dists.gaussian_log_prob(pi, log_std, action)), value
+    return action, float(dists.gaussian_log_prob(pi, log_std, action)), float(outs["v"][0, 0])
 
 
-def _state_value(net: MLP, obs: np.ndarray) -> float:
+def _discrete_outputs(net: MLP, obs: np.ndarray, memo: dict) -> Tuple[List[float], List[float], float]:
+    """(cumulative probabilities, log-probs, state value) at ``obs``, from
+    ``memo`` or from one forward and one log-softmax, then kept in ``memo``."""
+    key = obs.tobytes()
+    entry = memo.get(key)
+    if entry is None:
+        outs, _ = net.forward(obs[None, :])
+        logp_all = dists.log_softmax(outs["pi"][0])
+        entry = memo[key] = (np.cumsum(np.exp(logp_all)).tolist(), logp_all.tolist(), float(outs["v"][0, 0]))
+    return entry
+
+
+def _state_value(net: MLP, obs: np.ndarray, memo) -> float:
+    if memo is not None:
+        return _discrete_outputs(net, obs, memo)[2]
     outs, _ = net.forward(obs[None, :])
     return float(outs["v"][0, 0])
 
@@ -94,10 +113,14 @@ def collect_rollout(
     end_buf = np.zeros(n_steps, dtype=bool)
     boot_buf = np.zeros(n_steps)
     completed: List[float] = []
+    # the parameters are fixed for the whole rollout, and discrete envs
+    # revisit observations often (a blocked move leaves it unchanged), so
+    # each distinct observation needs one forward per rollout
+    memo = {} if spec.kind == "discrete" else None
 
     for t in range(n_steps):
         obs = runner.obs
-        action, logp, value = sample_policy_action(net, spec, obs, action_rng)
+        action, logp, value = sample_policy_action(net, spec, obs, action_rng, memo)
         result = env.step(action)
         runner.episode_return += result.reward
 
@@ -110,14 +133,14 @@ def collect_rollout(
 
         if result.done or result.truncated:
             end_buf[t] = True
-            boot_buf[t] = 0.0 if result.done else _state_value(net, result.obs)
+            boot_buf[t] = 0.0 if result.done else _state_value(net, result.obs, memo)
             completed.append(runner.episode_return)
             runner._reset()
         else:
             runner.obs = result.obs
             if t == n_steps - 1:  # buffer cut mid-episode
                 end_buf[t] = True
-                boot_buf[t] = _state_value(net, result.obs)
+                boot_buf[t] = _state_value(net, result.obs, memo)
 
     return RolloutBuffer(
         obs=obs_buf,

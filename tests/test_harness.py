@@ -76,6 +76,8 @@ def test_validate_catches_bad_configs(point_dataset_path):
         validate(tiny_config("/nonexistent/data.bin", "x"))
     with pytest.raises(ConfigError, match="grid_size"):
         validate(TrainConfig(env="keydoor", grid_size=9, algorithm="reinforce"))
+    with pytest.raises(ConfigError, match="grid_size"):
+        validate(TrainConfig(env="pointreach", grid_size=10, algorithm="reinforce"))
     with pytest.raises(ConfigError, match="eval_every"):
         validate(tiny_config(point_dataset_path, "x", eval_every=0))
     with pytest.raises(ConfigError, match="eval_episodes"):
@@ -412,11 +414,13 @@ def test_cli_collect_train_evaluate_compare(tmp_path, capsys):
     assert "bcgail_fixed0.25" in out
 
 
-def test_cli_train_flags_land_in_config(tmp_path, point_dataset_path):
+def test_cli_train_flags_land_in_config(tmp_path, capsys):
+    grid10 = tmp_path / "grid10.bin"
+    save_dataset(collect(make_env("keydoor10"), AStarExpert(), 3, 0), grid10)
     file_config = tmp_path / "base.json"
     file_config.write_text(json.dumps({"eval_episodes": 2, "value_coef": 0.25, "lr": 0.5}))
     flags = {
-        "--env": ("env", "pointreach"),
+        "--env": ("env", "keydoor"),
         "--size": ("grid_size", 10),
         "--algorithm": ("algorithm", "bcgail_annealed"),
         "--alpha": ("alpha", 0.3),
@@ -427,7 +431,7 @@ def test_cli_train_flags_land_in_config(tmp_path, point_dataset_path):
         "--eval-every": ("eval_every", 3),
         "--lr": ("lr", 0.001),
         "--seed": ("seeds", [4, 5]),
-        "--dataset": ("dataset", point_dataset_path),
+        "--dataset": ("dataset", str(grid10)),
         "--out": ("out", str(tmp_path / "runs")),
         "--name": ("run_name", "flags"),
     }
@@ -441,6 +445,11 @@ def test_cli_train_flags_land_in_config(tmp_path, point_dataset_path):
     config = json.loads((tmp_path / "runs" / "flags" / "config.json").read_text())
     assert {key: config[key] for key, _ in flags.values()} == dict(flags.values())
     assert (config["eval_episodes"], config["value_coef"]) == (2, 0.25)  # from the file, not overridden
+    # pointreach has no grid: --size is refused before anything is written
+    argv = ["train", "--env", "pointreach", "--size", "10", "--algorithm", "reinforce", "--out", str(tmp_path / "pr")]
+    assert main(argv) != 0
+    assert "grid_size" in capsys.readouterr().err
+    assert not (tmp_path / "pr").exists()
 
 
 def test_cli_missing_dataset_fails_before_compute(tmp_path, capsys):

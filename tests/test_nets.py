@@ -7,6 +7,9 @@ import pytest
 
 from annealed_il.envs import ActionSpec
 from annealed_il.nets import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     MLP,
     Adam,
     build_disc_net,
@@ -229,3 +232,91 @@ def test_disc_input_dim():
     assert d.in_dim == 14
     c = build_disc_net(6, ActionSpec(kind="continuous", dim=2), rng)
     assert c.in_dim == 8
+
+
+# -- bit-for-bit oracles: the update path as it was before it was trimmed ----
+
+
+def _reference_backward(net, cache, d_outs):
+    """MLP.backward with every head's d_h as a matmul and the input gradient kept."""
+    activations = cache["activations"]
+    h_last = activations[-1]
+    d_h = np.zeros_like(h_last)
+    head_grads = {}
+    for name, (w, b) in net.heads.items():
+        d_out = d_outs.get(name)
+        if d_out is None:
+            head_grads[name] = (np.zeros_like(w), np.zeros_like(b))
+            continue
+        d_out = np.asarray(d_out, dtype=np.float64)
+        head_grads[name] = (h_last.T @ d_out, d_out.sum(axis=0))
+        d_h = d_h + d_out @ w.T
+    trunk_grads = [None] * len(net.trunk)
+    for i in range(len(net.trunk) - 1, -1, -1):
+        w, _ = net.trunk[i]
+        d_z = d_h * (1.0 - activations[i + 1] ** 2)
+        trunk_grads[i] = (activations[i].T @ d_z, d_z.sum(axis=0))
+        d_h = d_z @ w.T
+    grads = []
+    for gw, gb in trunk_grads:
+        grads += [gw, gb]
+    for name in net.head_dims:
+        grads += list(head_grads[name])
+    return grads + [np.zeros_like(net.extras[name]) for name in net.extras]
+
+
+def _reference_adam_step(opt, params, grads):
+    """Adam.step with fresh arrays for every intermediate."""
+    opt.t += 1
+    c1 = 1.0 - ADAM_BETA1**opt.t
+    c2 = 1.0 - ADAM_BETA2**opt.t
+    for p, g, m, v in zip(params, grads, opt.m, opt.v):
+        m[...] = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+        v[...] = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
+        p -= opt.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+
+
+NET_SHAPES = {  # the benchmark's two envs: keydoor8 (385 inputs, 4 actions) and pointreach
+    "keydoor8-policy": lambda rng: build_policy_net(385, ActionSpec(kind="discrete", n=4), rng),
+    "keydoor8-disc": lambda rng: build_disc_net(385, ActionSpec(kind="discrete", n=4), rng),
+    "pointreach-policy": lambda rng: build_policy_net(6, ActionSpec(kind="continuous", dim=2), rng),
+    "pointreach-disc": lambda rng: build_disc_net(6, ActionSpec(kind="continuous", dim=2), rng),
+}
+
+
+def _random_d_outs(net, rng, batch, skip=None):
+    return {name: rng.standard_normal((batch, dim)) for name, dim in net.head_dims.items() if name != skip}
+
+
+@pytest.mark.parametrize("shape", sorted(NET_SHAPES))
+@pytest.mark.parametrize("batch", [1, 256])
+def test_backward_matches_reference_bit_for_bit(shape, batch):
+    rng = np.random.default_rng(11)
+    net = NET_SHAPES[shape](rng)
+    _, cache = net.forward(rng.standard_normal((batch, net.in_dim)))
+    skips = [None] + (list(net.head_dims) if len(net.head_dims) > 1 else [])
+    for skip in skips:  # every head, then each head left out
+        d_outs = _random_d_outs(net, rng, batch, skip)
+        got, want = net.backward(cache, d_outs), _reference_backward(net, cache, d_outs)
+        assert len(got) == len(want) == len(net.params())
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("shape", sorted(NET_SHAPES))
+def test_adam_matches_reference_bit_for_bit(shape):
+    rng = np.random.default_rng(12)
+    net, ref = NET_SHAPES[shape](np.random.default_rng(3)), NET_SHAPES[shape](np.random.default_rng(3))
+    opt, ref_opt = Adam(net.params(), lr=3e-4), Adam(ref.params(), lr=3e-4)
+    for _ in range(5):
+        x = rng.standard_normal((256, net.in_dim))
+        d_outs = _random_d_outs(net, rng, 256)
+        _, cache = net.forward(x)
+        grads = net.backward(cache, d_outs)
+        if net.extras:
+            grads[net.extra_index("log_std")] = rng.standard_normal(2)
+        opt.step(net.params(), grads)
+        _reference_adam_step(ref_opt, ref.params(), [g.copy() for g in grads])
+        for a, b in zip(net.params() + opt.m + opt.v, ref.params() + ref_opt.m + ref_opt.v):
+            assert np.array_equal(a, b)
+    assert opt.t == ref_opt.t == 5

@@ -1,5 +1,6 @@
 """Reproduction bundles wired end-to-end at micro budgets."""
 
+import json
 import os
 
 import pytest
@@ -17,10 +18,13 @@ def test_ensure_dataset_caches(tmp_path):
 
 
 def test_random_reward_bundle_micro(tmp_path):
-    table = reproduce("random-reward", seeds=[0], out=str(tmp_path), total_steps=512)
+    table = reproduce("random-reward", size=10, seeds=[0], out=str(tmp_path), total_steps=512)
     assert "random_reward_ablation" in table and "bc" in table
     assert (tmp_path / "comparison" / "comparison.csv").exists()
     assert (tmp_path / "random_reward_ablation" / "report.json").exists()
+    # the grid size is a keydoor setting: a pointreach bundle keeps the default
+    config = json.loads((tmp_path / "random_reward_ablation" / "config.json").read_text())
+    assert config["grid_size"] == 8
 
 
 def test_annealing_sweep_bundle_micro(tmp_path):

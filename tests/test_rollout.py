@@ -205,3 +205,126 @@ def test_sample_policy_action_stays_in_range_when_cumsum_rounds_below_one():
     got = sample_policy_action(net, spec, np.zeros(1), TopDraw())
     assert got == _reference_sample(net, spec, np.zeros(1), TopDraw())
     assert got[0] == 3
+
+
+# -- the per-rollout memo against a loop that forwards at every step -----------
+
+
+def _value_at(net, obs):
+    return float(net.forward(obs[None, :])[0]["v"][0, 0])
+
+
+def _reference_collect(runner, net, spec, n_steps, rng):
+    """collect_rollout without a memo: one forward per step and per bootstrap."""
+    fields = {k: [] for k in ("obs", "actions", "log_probs", "values", "env_rewards", "dones", "ends", "boot_values")}
+    completed = []
+    runner.ensure_started()
+    for t in range(n_steps):
+        obs = runner.obs
+        action, logp, value = _reference_sample(net, spec, obs, rng)
+        result = runner.env.step(action)
+        runner.episode_return += result.reward
+        end, boot = False, 0.0
+        if result.done or result.truncated:
+            end, boot = True, 0.0 if result.done else _value_at(net, result.obs)
+            completed.append(runner.episode_return)
+            runner._reset()
+        else:
+            runner.obs = result.obs
+            if t == n_steps - 1:
+                end, boot = True, _value_at(net, result.obs)
+        for key, value_t in zip(fields, (obs, action, logp, value, result.reward, result.done, end, boot)):
+            fields[key].append(value_t)
+    return RolloutBuffer(
+        obs=np.array(fields["obs"]),
+        actions=np.array(fields["actions"], dtype=np.int64 if spec.kind == "discrete" else np.float64),
+        log_probs=np.array(fields["log_probs"]),
+        values=np.array(fields["values"]),
+        env_rewards=np.array(fields["env_rewards"]),
+        rewards=np.zeros(n_steps),
+        dones=np.array(fields["dones"], dtype=bool),
+        ends=np.array(fields["ends"], dtype=bool),
+        boot_values=np.array(fields["boot_values"]),
+        completed_returns=completed,
+    )
+
+
+class _EndsEarly:
+    """An env whose episodes also end on a schedule: every ``done_every``-th
+    step of the run is terminal and every ``cut_every``-th is truncated, so
+    short rollouts hold both kinds of segment end.  It counts both, and
+    keeps the latest step's result."""
+
+    def __init__(self, env, done_every, cut_every):
+        self.env, self.done_every, self.cut_every = env, done_every, cut_every
+        self.obs_dim, self.action_spec = env.obs_dim, env.action_spec
+        self.steps = self.dones = self.truncations = 0
+        self.last = None
+
+    def reset(self, seed):
+        return self.env.reset(seed)
+
+    def step(self, action):
+        result = self.last = self.env.step(action)
+        self.steps += 1
+        if self.steps % self.done_every == 0:
+            result.done, result.truncated = True, False
+        elif self.steps % self.cut_every == 0 and not result.done:
+            result.truncated = True
+        self.dones += result.done
+        self.truncations += result.truncated
+        return result
+
+
+def _runner_pair(env_id, net_seed=0):
+    """Two identical (runner, net, action rng) triples, one per side."""
+
+    def one():
+        env = _EndsEarly(make_env(env_id), done_every=47, cut_every=61)
+        net = build_policy_net(env.obs_dim, env.action_spec, np.random.default_rng(net_seed))
+        return EnvRunner(env, np.random.default_rng(1)), net, np.random.default_rng(2)
+
+    return one(), one()
+
+
+def _assert_same_buffer(got, want):
+    for name in RolloutBuffer.__dataclass_fields__:
+        a, b = getattr(got, name), getattr(want, name)
+        if name == "completed_returns":
+            assert a == b
+        else:
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+@pytest.mark.parametrize("env_id", ["keydoor8", "pointreach"])
+def test_collect_rollout_matches_memo_free_loop(env_id):
+    (runner, net, rng), (ref_runner, ref_net, ref_rng) = _runner_pair(env_id)
+    spec = runner.env.action_spec
+    forward, forwards = net.forward, []
+    net.forward = lambda x: forwards.append(len(x)) or forward(x)
+    cuts = 0
+    for n_steps in (100, 64, 150, 90, 1):  # consecutive rollouts on one runner
+        got = collect_rollout(runner, net, spec, n_steps, rng)
+        want = _reference_collect(ref_runner, ref_net, spec, n_steps, ref_rng)
+        _assert_same_buffer(got, want)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert runner.episode_return == ref_runner.episode_return
+        assert np.array_equal(runner.obs, ref_runner.obs)
+        cuts += not (runner.env.last.done or runner.env.last.truncated)
+    # resets after terminal and truncated steps, and rollouts cut mid-episode
+    assert runner.env.dones and runner.env.truncations and cuts
+    # keydoor revisits observations, so the memo saves forwards there
+    assert (len(forwards) < runner.env.steps) == (spec.kind == "discrete")
+
+
+def test_collect_rollout_memo_lasts_one_rollout():
+    (runner, net, rng), (ref_runner, ref_net, ref_rng) = _runner_pair("keydoor8")
+    spec = runner.env.action_spec
+    for side in ((runner, net, rng), (ref_runner, ref_net, ref_rng)):
+        collect_rollout(*side[:2], spec, 120, side[2])
+    net.heads["v"][1][0] += 1.0  # the value head's bias: actions stay the same
+    got = collect_rollout(runner, net, spec, 120, rng)
+    unchanged = collect_rollout(ref_runner, ref_net, spec, 120, ref_rng)
+    assert np.array_equal(got.actions, unchanged.actions)
+    assert np.all(got.values != unchanged.values)
+    assert np.array_equal(got.values, [_value_at(net, row) for row in got.obs])
