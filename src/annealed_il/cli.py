@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from .compare import compare, format_table
-from .config import ConfigError, TrainConfig
+from .config import ConfigError, TrainConfig, check_grid_size
 from .data import DatasetError, save_dataset
 from .envs import make_env
 from .evaluate import evaluate_checkpoint
@@ -28,7 +28,7 @@ def _parse_seeds(text: str):
 
 
 def _env_id(args) -> str:
-    return TrainConfig(env=args.env, grid_size=args.size).env_id
+    return check_grid_size(TrainConfig(env=args.env, grid_size=args.size)).env_id
 
 
 def cmd_collect_expert(args) -> int:

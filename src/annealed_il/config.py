@@ -2,9 +2,10 @@
 
 import json
 import os
-from dataclasses import asdict, dataclass, field, replace
-from typing import List, Optional, Union
+from dataclasses import asdict, dataclass, field, fields, replace
+from typing import List, Optional, Union, get_args, get_origin
 
+from .envs.keydoor import SUPPORTED_SIZES
 from .schedule import AnnealSchedule
 
 
@@ -153,9 +154,45 @@ def resolve(config: TrainConfig) -> TrainConfig:
     return config
 
 
+# the least value of each bounded integer field
+INT_LOWER_BOUNDS = {
+    "total_steps": 1, "rollout_steps": 1, "eval_every": 1, "eval_episodes": 1, "ppo_epochs": 1, "bc_batch": 1,
+    "disc_updates": 0, "disc_pretrain_updates": 0,
+}
+
+
+def _has_type(value, annotation) -> bool:
+    """Whether ``value`` fits a TrainConfig annotation: bools are not ints,
+    an int is a float, ``Optional`` admits None, ``List[int]`` is a list of ints."""
+    if get_origin(annotation) is Union:
+        return any(_has_type(value, a) for a in get_args(annotation))
+    if get_origin(annotation) is list:
+        return isinstance(value, list) and all(_has_type(v, get_args(annotation)[0]) for v in value)
+    if isinstance(value, bool):
+        return annotation is bool
+    return isinstance(value, (int, float) if annotation is float else annotation)
+
+
+def check_grid_size(config: TrainConfig) -> TrainConfig:
+    """A supported keydoor grid size; pointreach keeps the default."""
+    if config.env == "keydoor" and config.grid_size not in SUPPORTED_SIZES:
+        raise ConfigError(f"grid_size must be one of {SUPPORTED_SIZES}, got {config.grid_size}")
+    if config.env == "pointreach" and config.grid_size != TrainConfig.grid_size:
+        raise ConfigError(
+            f"grid_size applies to keydoor only; pointreach keeps the default {TrainConfig.grid_size},"
+            f" got {config.grid_size}"
+        )
+    return config
+
+
 def validate(config: TrainConfig) -> TrainConfig:
     """Resolve defaults and check the configuration before any compute."""
-    config = resolve(config)
+    for f in fields(TrainConfig):
+        value = getattr(config, f.name)
+        if not _has_type(value, f.type):
+            expected = f.type.__name__ if isinstance(f.type, type) else str(f.type).replace("typing.", "")
+            raise ConfigError(f"{f.name} must be {expected}, got {value!r}")
+    config = check_grid_size(resolve(config))
     if config.algorithm not in LEARNERS:
         raise ConfigError(f"unknown algorithm {config.algorithm!r}; expected one of {tuple(LEARNERS)}")
     learner = LEARNERS[config.algorithm]
@@ -163,21 +200,9 @@ def validate(config: TrainConfig) -> TrainConfig:
         raise ConfigError("seeds must be nonempty")
     if len(set(config.seeds)) != len(config.seeds):
         raise ConfigError("seeds must be distinct")
-    if config.total_steps <= 0:
-        raise ConfigError("total_steps must be positive")
-    if config.rollout_steps <= 0:
-        raise ConfigError("rollout_steps must be positive")
-    if config.eval_every < 1:
-        raise ConfigError("eval_every must be >= 1")
-    if config.eval_episodes < 1:
-        raise ConfigError("eval_episodes must be >= 1")
-    if config.env == "keydoor" and config.grid_size not in (8, 10, 12):
-        raise ConfigError(f"grid_size must be 8, 10 or 12, got {config.grid_size}")
-    if config.env == "pointreach" and config.grid_size != TrainConfig.grid_size:
-        raise ConfigError(
-            f"grid_size applies to keydoor only; pointreach keeps the default {TrainConfig.grid_size},"
-            f" got {config.grid_size}"
-        )
+    for name, least in INT_LOWER_BOUNDS.items():
+        if getattr(config, name) < least:
+            raise ConfigError(f"{name} must be >= {least}, got {getattr(config, name)}")
     if learner.alpha == "config":
         if config.alpha is None:
             raise ConfigError(f"{config.algorithm} requires alpha")
@@ -187,6 +212,10 @@ def validate(config: TrainConfig) -> TrainConfig:
         raise ConfigError("half_life must be >= 1")
     if config.disc_mode not in ("gan", "wgan"):
         raise ConfigError(f"disc_mode must be gan or wgan, got {config.disc_mode!r}")
+    if config.disc_mode == "wgan" and not config.wgan_clip > 0:
+        raise ConfigError(f"wgan_clip must be > 0 under wgan, got {config.wgan_clip}")
+    if config.ppo_clip is not None and not config.ppo_clip > 0:
+        raise ConfigError(f"ppo_clip must be > 0 when set, got {config.ppo_clip}")
     if learner.reward != "task":
         if not config.dataset:
             raise ConfigError(f"algorithm {config.algorithm!r} requires a dataset path")

@@ -10,7 +10,7 @@ from pathlib import Path
 from typing import List, Optional, Tuple
 
 from .compare import compare, format_table
-from .config import TrainConfig
+from .config import TrainConfig, check_grid_size
 from .data import save_dataset
 from .envs import make_env
 from .experts import AStarExpert, PointExpert, collect
@@ -76,8 +76,9 @@ def reproduce(
 ) -> str:
     """Run bundle ``name`` and return its comparison table.
 
-    ``size`` is the keydoor grid size (pointreach bundles ignore it);
-    ``out`` defaults to ``runs/<name>`` with dashes as underscores.
+    ``size`` is the keydoor grid size (pointreach bundles ignore it), one
+    of ``SUPPORTED_SIZES``, checked before anything is written; ``out``
+    defaults to ``runs/<name>`` with dashes as underscores.
     """
     bundle = BUNDLES[name]
     out_path = Path(out or f"runs/{name.replace('-', '_')}")
@@ -88,6 +89,7 @@ def reproduce(
         out=str(out_path),
         total_steps=total_steps,
     )
+    check_grid_size(base)
     if dataset is None:
         n = GRID_TRAJECTORIES[size] if bundle.trajectories is None else bundle.trajectories
         path = out_path / "datasets" / bundle.dataset_file.format(env_id=base.env_id)

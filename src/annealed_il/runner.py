@@ -8,6 +8,7 @@ the package's own binary checkpoint format, and reruns of the same
 """
 
 import json
+from contextlib import closing
 from pathlib import Path
 from typing import Optional
 
@@ -18,7 +19,7 @@ from .losses import disc_inputs, disc_loss
 from .metrics import IterationMetrics, MetricsWriter
 from .nets import build_policy_net, clip_params, save_checkpoint
 from .rollout import collect_rollout
-from .trainer import build_trainer, spawn_rngs, train_bc_supervised, train_iteration
+from .trainer import build_trainer, sample_expert_batch, spawn_rngs, train_bc_supervised, train_iteration
 from .evaluate import EvalReport, evaluate_net, pool_reports, write_json
 
 EVAL_SEED_STREAM = 5
@@ -49,9 +50,7 @@ def run(config: TrainConfig) -> Path:
     if stale:
         raise ConfigError(f"{run_dir} holds {', '.join(stale)}, which are not among seeds {config.seeds}")
     run_dir.mkdir(parents=True, exist_ok=True)
-    with open(run_dir / "config.json", "w") as f:
-        json.dump(config.to_dict(), f, indent=2)
-        f.write("\n")
+    write_json(run_dir / "config.json", config.to_dict())
 
     reports = {}
     for seed in config.seeds:
@@ -62,47 +61,46 @@ def run(config: TrainConfig) -> Path:
     return run_dir
 
 
-class _EvalLog:
-    def __init__(self, path, env, eval_episodes: int, eval_seed: int):
-        self._file = open(path, "w")
-        self.env = env
-        self.eval_episodes = eval_episodes
-        self.eval_seed = eval_seed
-
-    def record(self, net, env_steps: int, phase: str) -> EvalReport:
-        report = evaluate_net(net, self.env, self.eval_episodes, self.eval_seed, env_steps)
-        row = {"env_steps": env_steps, "phase": phase, "mean": report.mean, "std": report.std, "returns": report.returns}
-        self._file.write(json.dumps(row) + "\n")
-        self._file.flush()
-        return report
-
-    def close(self):
-        self._file.close()
-
-
 def _run_seed(config: TrainConfig, dataset: Optional[Dataset], seed: int, seed_dir: Path) -> EvalReport:
-    env = make_env(config.env_id)
+    """One seed of any learner: optional cloning, then optional rollout
+    training, then the final evaluation, checkpoint and eval_final.json."""
+    learner = LEARNERS[config.algorithm]
+    env, eval_env = make_env(config.env_id), make_env(config.env_id)
     rngs = spawn_rngs(seed, 8)
     eval_seed = int(rngs[EVAL_SEED_STREAM].integers(0, 2**63))
-    metrics = MetricsWriter(seed_dir / "metrics.csv")
-    evals = _EvalLog(seed_dir / "eval.jsonl", make_env(config.env_id), config.eval_episodes, eval_seed)
+    with closing(MetricsWriter(seed_dir / "metrics.csv")) as metrics, open(seed_dir / "eval.jsonl", "w") as eval_log:
 
-    try:
-        if LEARNERS[config.algorithm].reward == "none":
-            policy = build_policy_net(env.obs_dim, env.action_spec, rngs[0])
+        def evaluate(net, env_steps: int, phase: str) -> EvalReport:
+            """Evaluate on the eval env and append one flushed eval.jsonl row."""
+            report = evaluate_net(net, eval_env, config.eval_episodes, eval_seed, env_steps)
+            row = {"env_steps": env_steps, "phase": phase, "mean": report.mean, "std": report.std, "returns": report.returns}
+            eval_log.write(json.dumps(row) + "\n")
+            eval_log.flush()
+            return report
+
+        policy = build_policy_net(env.obs_dim, env.action_spec, rngs[0])
+        if learner.reward == "none" or learner.bc_pretrain:
             _bc_phase(policy, env, dataset, config, seed, rngs, metrics)
-            final = evals.record(policy, 0, "final")
-        else:
-            policy, final = _rollout_run(config, env, dataset, seed, rngs, metrics, evals, seed_dir)
-        save_checkpoint(
-            policy,
-            seed_dir / "checkpoint_final.ckpt",
-            meta={"env_id": config.env_id, "algorithm": config.algorithm, "seed": seed},
-        )
-        write_json(seed_dir / "eval_final.json", final.to_dict())
-    finally:
-        metrics.close()
-        evals.close()
+        env_steps = 0
+        if learner.reward != "none":
+            state = build_trainer(config, env, dataset, rngs[:4], policy)
+            if learner.bc_pretrain:
+                write_json(seed_dir / "eval_postbc.json", evaluate(policy, 0, "post_bc").to_dict())
+                _disc_pretrain_phase(state, config, env.action_spec, metrics)
+            evaluate(policy, state.env_steps, "periodic")
+            n_iterations = (config.total_steps - state.env_steps) // config.rollout_steps
+            for t in range(n_iterations):
+                metrics.write(train_iteration(state, config, env.action_spec))
+                if (t + 1) % config.eval_every == 0 and t + 1 < n_iterations:
+                    evaluate(policy, state.env_steps, "periodic")
+            env_steps = state.env_steps
+        final = evaluate(policy, env_steps, "final")
+    save_checkpoint(
+        policy,
+        seed_dir / "checkpoint_final.ckpt",
+        meta={"env_id": config.env_id, "algorithm": config.algorithm, "seed": seed},
+    )
+    write_json(seed_dir / "eval_final.json", final.to_dict())
     return final
 
 
@@ -140,10 +138,9 @@ def _disc_pretrain_phase(state, config, env_spec, metrics) -> None:
     policy_in = disc_inputs(buf.obs, buf.actions, env_spec)
     batch = min(256, len(policy_in))
     for k in range(config.disc_pretrain_updates):
-        idx_e = state.rng_batch.integers(0, len(state.expert_obs), size=batch)
+        e_obs, e_act = sample_expert_batch(state, batch)
         idx_p = state.rng_batch.integers(0, len(policy_in), size=batch)
-        expert_in = disc_inputs(state.expert_obs[idx_e], state.expert_actions[idx_e], env_spec)
-        loss, grads = disc_loss(state.disc, expert_in, policy_in[idx_p], state.disc_mode)
+        loss, grads = disc_loss(state.disc, disc_inputs(e_obs, e_act, env_spec), policy_in[idx_p], state.disc_mode)
         state.opt_disc.step(state.disc.params(), grads)
         if state.disc_mode.variant == "wgan":
             clip_params(state.disc, state.disc_mode.clip)
@@ -156,27 +153,3 @@ def _disc_pretrain_phase(state, config, env_spec, metrics) -> None:
                 disc_loss=loss,
             )
         )
-
-
-def _rollout_run(config, env, dataset, seed, rngs, metrics, evals, seed_dir):
-    bc_pretrain = LEARNERS[config.algorithm].bc_pretrain
-    pretrained = None
-    if bc_pretrain:
-        pretrained = build_policy_net(env.obs_dim, env.action_spec, rngs[0])
-        _bc_phase(pretrained, env, dataset, config, seed, rngs, metrics)
-
-    state = build_trainer(config, env, dataset, rngs=rngs[:4], policy=pretrained)
-
-    if bc_pretrain:
-        post_bc = evals.record(state.policy, state.env_steps, "post_bc")
-        write_json(seed_dir / "eval_postbc.json", post_bc.to_dict())
-        _disc_pretrain_phase(state, config, env.action_spec, metrics)
-
-    evals.record(state.policy, state.env_steps, "periodic")
-    n_iterations = (config.total_steps - state.env_steps) // config.rollout_steps
-    for t in range(n_iterations):
-        metrics.write(train_iteration(state, config, env.action_spec))
-        if (t + 1) % config.eval_every == 0 and t + 1 < n_iterations:
-            evals.record(state.policy, state.env_steps, "periodic")
-    final = evals.record(state.policy, state.env_steps, "final")
-    return state.policy, final

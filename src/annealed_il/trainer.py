@@ -13,11 +13,11 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .config import LEARNERS, Learner, TrainConfig
+from .config import LEARNERS, TrainConfig
 from .data import Dataset
 from .losses import DiscMode, disc_inputs, disc_loss, policy_loss, surrogate_reward
 from .metrics import NAN, IterationMetrics
-from .nets import MLP, Adam, build_disc_net, build_policy_net, clip_params
+from .nets import MLP, Adam, build_disc_net, clip_params
 from .rollout import (
     EnvRunner,
     collect_rollout,
@@ -25,7 +25,7 @@ from .rollout import (
     discounted_returns,
     normalize_advantages,
 )
-from .schedule import AnnealSchedule, alpha_at
+from .schedule import alpha_at
 
 
 @dataclass
@@ -34,8 +34,6 @@ class TrainerState:
     opt_policy: Adam
     disc: Optional[MLP]
     opt_disc: Optional[Adam]
-    learner: Learner
-    schedule: AnnealSchedule
     disc_mode: DiscMode
     runner: EnvRunner
     expert_obs: Optional[np.ndarray]
@@ -55,14 +53,15 @@ def build_trainer(
     env,
     dataset: Optional[Dataset],
     rngs: List[np.random.Generator],
-    policy: Optional[MLP] = None,
+    policy: MLP,
 ) -> TrainerState:
-    """Assemble nets, optimizers and rng streams for one seeded run.
+    """Assemble the discriminator, optimizers and rng streams for one seeded run.
 
     ``rngs`` are the four streams (init, env, actions, batch), e.g.
-    ``spawn_rngs(seed, 4)``.  ``policy`` lets a caller hand over a
-    pretrained net (cloning pretraining baseline) instead of a fresh one.
-    A ``wgan`` critic is clipped into [-wgan_clip, wgan_clip] from
+    ``spawn_rngs(seed, 4)``.  ``policy`` is the net to train, built from the
+    init stream just before this call (and cloned first by the pretraining
+    baseline), so the discriminator is the init stream's second draw.  A
+    ``wgan`` critic is clipped into [-wgan_clip, wgan_clip] from
     construction on, so a frozen critic (``random_reward_ablation``) lies
     in the same box as a trained one.
     """
@@ -70,8 +69,6 @@ def build_trainer(
     if learner.reward == "none":
         raise ValueError(f"algorithm {config.algorithm!r} has no rollout-training loop")
     rng_init, rng_env, rng_actions, rng_batch = rngs
-    if policy is None:
-        policy = build_policy_net(env.obs_dim, env.action_spec, rng_init)
 
     disc_mode = DiscMode(variant=config.disc_mode, clip=config.wgan_clip)
     disc = opt_disc = expert_obs = expert_actions = None
@@ -89,8 +86,6 @@ def build_trainer(
         opt_policy=Adam(policy.params(), lr=config.lr),
         disc=disc,
         opt_disc=opt_disc,
-        learner=learner,
-        schedule=learner.schedule(config),
         disc_mode=disc_mode,
         runner=EnvRunner(env, rng_env),
         expert_obs=expert_obs,
@@ -100,7 +95,7 @@ def build_trainer(
     )
 
 
-def _sample_expert_batch(state: TrainerState, n: int) -> Tuple[np.ndarray, np.ndarray]:
+def sample_expert_batch(state: TrainerState, n: int) -> Tuple[np.ndarray, np.ndarray]:
     idx = state.rng_batch.integers(0, len(state.expert_obs), size=n)
     return state.expert_obs[idx], state.expert_actions[idx]
 
@@ -110,12 +105,13 @@ def train_iteration(state: TrainerState, config: TrainConfig, env_spec) -> Itera
     n = config.rollout_steps
     buf = collect_rollout(state.runner, state.policy, env_spec, n, state.rng_actions)
     state.env_steps += n
+    learner = LEARNERS[config.algorithm]
 
     disc_loss_value = NAN
-    if state.learner.reward == "disc":
+    if learner.reward == "disc":
         policy_in = disc_inputs(buf.obs, buf.actions, env_spec)
         for _ in range(config.disc_updates):
-            e_obs, e_act = _sample_expert_batch(state, n)
+            e_obs, e_act = sample_expert_batch(state, n)
             loss, grads = disc_loss(
                 state.disc, disc_inputs(e_obs, e_act, env_spec), policy_in, state.disc_mode
             )
@@ -124,21 +120,21 @@ def train_iteration(state: TrainerState, config: TrainConfig, env_spec) -> Itera
                 clip_params(state.disc, state.disc_mode.clip)
             disc_loss_value = loss
 
-    imitating = state.learner.reward != "task"
+    imitating = learner.reward != "task"
     expert_obs = expert_actions = None
     if imitating:
         buf.rewards = surrogate_reward(state.disc, buf.obs, buf.actions, env_spec, state.disc_mode)
         raw_adv, value_targets = compute_advantages(buf, config.gamma, config.lam)
         value_coef = config.value_coef
         # drawn even at alpha 0 (gail), where the batch does not enter the loss
-        expert_obs, expert_actions = _sample_expert_batch(state, n)
+        expert_obs, expert_actions = sample_expert_batch(state, n)
     else:  # reward-to-go on the task reward, no value baseline
         buf.rewards = buf.env_rewards.copy()
         raw_adv = discounted_returns(buf, config.gamma)
         value_targets = raw_adv.copy()
         value_coef = 0.0
     advantages = normalize_advantages(raw_adv)
-    alpha = alpha_at(state.schedule, state.iteration)
+    alpha = alpha_at(learner.schedule(config), state.iteration)
 
     epochs = config.ppo_epochs if config.ppo_clip is not None else 1
     for _ in range(epochs):

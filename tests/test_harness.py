@@ -13,11 +13,12 @@ from annealed_il.compare import compare, pooled_curve, smooth, steps_to_threshol
 from annealed_il.config import ConfigError, TrainConfig, resolve, validate
 from annealed_il.data import save_dataset
 from annealed_il.envs import make_env
-from annealed_il.envs.keydoor import CH_AGENT, CH_DOOR, CH_GOAL, CH_KEY, CH_WALL, N_CHANNELS, GridState
+from annealed_il.envs.keydoor import CH_AGENT, CH_DOOR, CH_GOAL, CH_KEY, CH_WALL, N_CHANNELS, SUPPORTED_SIZES, GridState
 from annealed_il.evaluate import evaluate_checkpoint, evaluate_net, pool_reports
 from annealed_il.experts import AStarExpert, PointExpert, astar_plan, collect, point_expert
 from annealed_il.metrics import read_metrics
 from annealed_il.nets import build_policy_net, load_checkpoint, save_checkpoint
+from annealed_il.reproduce import GRID_TRAJECTORIES
 from annealed_il.runner import EVAL_SEED_STREAM, run
 from annealed_il.trainer import spawn_rngs
 
@@ -469,6 +470,58 @@ def test_cli_rejects_zero_eval_every_before_writing(tmp_path, capsys):
     assert rc == 2
     assert "eval_every" in capsys.readouterr().err
     assert not (tmp_path / "runs").exists()
+
+
+# Each value is outside its field's domain.  Before validate checked them,
+# these runs crashed mid-run after writing their run directory, or (a
+# negative disc_updates, a bool eval_every) trained quietly with a
+# different learner.
+OUT_OF_DOMAIN = {
+    "ppo_epochs": {"ppo_clip": 0.2, "ppo_epochs": 0},
+    "bc_batch": {"algorithm": "bc", "bc_batch": 0},
+    "wgan_clip": {"wgan_clip": 0.0},
+    "ppo_clip": {"ppo_clip": -0.2},
+    "eval_episodes": {"eval_episodes": 2.5},
+    "eval_every": {"eval_every": True},
+    "disc_updates": {"disc_updates": -3},
+    "total_steps": {"total_steps": "2048"},
+    "lr": {"lr": "0.001"},
+}
+
+
+@pytest.mark.parametrize("field", sorted(OUT_OF_DOMAIN))
+def test_cli_rejects_out_of_domain_values_before_writing(field, point_dataset_path, tmp_path, capsys):
+    file_config = tmp_path / "c.json"
+    file_config.write_text(json.dumps({"algorithm": "gail", "total_steps": 512, **OUT_OF_DOMAIN[field]}))
+    argv = ["train", "--config", str(file_config), "--env", "pointreach", "--dataset", point_dataset_path]
+    rc = main(argv + ["--seed", "0", "--out", str(tmp_path / "runs")])
+    assert rc == 2
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+GRID_SIZE_COMMANDS = {
+    "reproduce": ["reproduce", "gridworld", "--size", "9", "--seed", "0", "--out", "{out}"],
+    "collect-pointreach": ["collect-expert", "--env", "pointreach", "--size", "10", "--n", "1", "--out", "{out}/p.bin"],
+    "collect-keydoor": ["collect-expert", "--env", "keydoor", "--size", "9", "--n", "1", "--out", "{out}/k.bin"],
+    "evaluate": ["evaluate", "--checkpoint", "{ckpt}", "--env", "pointreach", "--size", "10", "--episodes", "1"],
+}
+
+
+def test_grid_trajectories_cover_the_supported_sizes():
+    assert set(GRID_TRAJECTORIES) == set(SUPPORTED_SIZES)
+
+
+@pytest.mark.parametrize("command", sorted(GRID_SIZE_COMMANDS))
+def test_cli_rejects_unsupported_grid_size_before_writing(command, tmp_path, capsys):
+    env = make_env("pointreach")
+    checkpoint = tmp_path / "policy.ckpt"
+    save_checkpoint(build_policy_net(env.obs_dim, env.action_spec, np.random.default_rng(0)), checkpoint)
+    out = tmp_path / "out"
+    argv = [arg.format(out=out, ckpt=checkpoint) for arg in GRID_SIZE_COMMANDS[command]]
+    assert main(argv) == 2
+    assert "grid_size" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_unknown_subcommand_usage_error():

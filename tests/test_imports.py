@@ -52,7 +52,9 @@ def test_no_unused_imports_in_package():
 def test_benchmark_wraps_names_that_exist_and_are_called(tmp_path, monkeypatch):
     """bench/run.py wraps module globals and class attributes by name; a
     renamed one raises KeyError there, and one bound elsewhere is never
-    spanned.  Apply its wrappers, train briefly, then restore everything."""
+    spanned.  Apply its wrappers, train briefly (a task-reward learner, then
+    a cloning-pretrained one, which reaches the runner's own bindings), then
+    restore everything."""
     monkeypatch.syspath_prepend(str(ROOT / "bench"))
     bench = importlib.import_module("run")
     spans = importlib.import_module("spans")
@@ -61,6 +63,12 @@ def test_benchmark_wraps_names_that_exist_and_are_called(tmp_path, monkeypatch):
     owners += [m.MLP, m.Adam, m.Dataset, m.MetricsWriter]
     saved = [(owner, dict(vars(owner))) for owner in owners]
     tracer = spans.Tracer()
+    pretrain = TrainConfig(
+        env="pointreach", algorithm="bc_pretrain_gail", seeds=[0], dataset=str(tmp_path / "point.bin"),
+        total_steps=512, rollout_steps=128, eval_every=1, eval_episodes=2, bc_max_epochs=2,
+        disc_pretrain_updates=3, disc_updates=2, out=str(tmp_path),
+    )
+    seen = {}
     try:
         bench.trace_layers(tracer, m)
         probe = bench.Probe(m.runner, m.trainer)
@@ -70,6 +78,21 @@ def test_benchmark_wraps_names_that_exist_and_are_called(tmp_path, monkeypatch):
             eval_every=1, eval_episodes=2, out=str(tmp_path),
         )
         m.runner.run(config)
+        reinforce = tracer.snapshot()
+
+        m.save_dataset(m.collect(m.make_env("pointreach"), m.PointExpert(), 3, 0), pretrain.dataset)
+        probed_build_trainer = m.runner.build_trainer
+
+        def build_trainer(*args, **kwargs):
+            seen["cloned"] = probe.op.policy  # what the Probe saw cloned
+            seen["state"] = probed_build_trainer(*args, **kwargs)
+            return seen["state"]
+
+        m.runner.build_trainer = build_trainer
+        probe.op = bench.Op(seed=0, round=0, out=tmp_path)
+        before = tracer.snapshot()
+        m.runner.run(pretrain)
+        pretrained = tracer.since(before)
     finally:
         for owner, attrs in saved:
             for name, value in attrs.items():
@@ -79,6 +102,14 @@ def test_benchmark_wraps_names_that_exist_and_are_called(tmp_path, monkeypatch):
         assert dict(vars(owner)) == attrs, f"{owner} left patched"
     spanned = {"rollout.sample_action", "rollout.collect", "envs.step", "envs.reset", "nets.forward1"}
     spanned |= {"nets.backward", "nets.adam_step", "trainer.iteration", "evaluate", "nets.checkpoint"}
-    assert spanned <= set(tracer.stats)
+    assert spanned <= set(reinforce)
     # the benchmark's traced check: env.step runs once per rollout and per evaluation step
-    assert tracer.stats["envs.step"][0] == op.rollout_steps + op.eval_steps == 512 + op.eval_steps
+    assert reinforce["envs.step"][0] == op.rollout_steps + op.eval_steps == 512 + op.eval_steps
+
+    fired = {name for name, (calls, _, _) in pretrained.items() if calls > 0}
+    assert {"trainer.bc", "data.load", "data.pairs", "losses.bc_loss", "losses.surrogate_reward"} <= fired
+    assert "rollout.advantages" in fired
+    # the runner's own disc_loss (pretraining) is counted with the trainer's
+    iterations = (pretrain.total_steps - pretrain.rollout_steps) // pretrain.rollout_steps
+    assert pretrained["losses.disc_loss"][0] == pretrain.disc_pretrain_updates + pretrain.disc_updates * iterations
+    assert seen["cloned"] is not None and seen["cloned"] is seen["state"].policy

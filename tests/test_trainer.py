@@ -41,9 +41,15 @@ def grid_dataset():
     return collect(make_env("keydoor8"), AStarExpert(), 10, 0)
 
 
+def new_trainer(config, env, dataset, seed=0):
+    """build_trainer with the policy the runner would build: the init stream's first draw."""
+    rngs = spawn_rngs(seed, 4)
+    return build_trainer(config, env, dataset, rngs, build_policy_net(env.obs_dim, env.action_spec, rngs[0]))
+
+
 def run_iterations(config, dataset, n_iterations, seed=0):
     env = make_env(config.env_id)
-    state = build_trainer(config, env, dataset, spawn_rngs(seed, 4))
+    state = new_trainer(config, env, dataset, seed)
     rows = [train_iteration(state, config, env.action_spec) for _ in range(n_iterations)]
     return state, rows
 
@@ -93,6 +99,24 @@ def test_learner_wiring(algorithm, point_dataset, tmp_path):
         assert all(np.isfinite(r["bc_loss"]) == (reward != "task") for r in rl)
 
 
+def test_bc_and_bc_pretraining_share_one_cloning_path(point_dataset, tmp_path):
+    """For one seed and dataset, cloning pretraining writes what the bc
+    learner writes: the same bc rows and, as its post-BC evaluation, bc's
+    final evaluation."""
+    save_dataset(point_dataset, tmp_path / "point.bin")
+    config = TrainConfig(
+        env="pointreach", seeds=[0], dataset=str(tmp_path / "point.bin"), out=str(tmp_path),
+        total_steps=512, rollout_steps=128, eval_episodes=3, bc_max_epochs=6, disc_pretrain_updates=2,
+    )
+    bc = run(replace(config, algorithm="bc")) / "seed_0"
+    pretrained = run(replace(config, algorithm="bc_pretrain_gail")) / "seed_0"
+    bc_lines = (bc / "metrics.csv").read_text().splitlines()
+    pretrained_lines = (pretrained / "metrics.csv").read_text().splitlines()
+    assert len(bc_lines) == 1 + 6
+    assert bc_lines == [line for line in pretrained_lines if line == pretrained_lines[0] or line.startswith("bc,")]
+    assert (bc / "eval_final.json").read_bytes() == (pretrained / "eval_postbc.json").read_bytes()
+
+
 def test_iteration_metrics_and_step_accounting(point_dataset):
     config = point_config(algorithm="bcgail_annealed", half_life=10)
     state, rows = run_iterations(config, point_dataset, 3)
@@ -122,7 +146,7 @@ def test_gail_is_fixed_zero_alpha(point_dataset):
 def test_frozen_disc_never_updates(point_dataset):
     config = point_config(algorithm="random_reward_ablation", alpha=0.5)
     env = make_env("pointreach")
-    state = build_trainer(config, env, point_dataset, spawn_rngs(0, 4))
+    state = new_trainer(config, env, point_dataset)
     disc_before = get_flat(state.disc).copy()
     rows = [train_iteration(state, config, env.action_spec) for _ in range(2)]
     assert np.array_equal(get_flat(state.disc), disc_before)
@@ -140,7 +164,7 @@ def test_wgan_updates_respect_clip(grid_dataset):
         disc_updates=2,
     )
     env = make_env("keydoor8")
-    state = build_trainer(config, env, grid_dataset, spawn_rngs(0, 4))
+    state = new_trainer(config, env, grid_dataset)
     for _ in range(3):
         train_iteration(state, config, env.action_spec)
         assert max(np.abs(p).max() for p in state.disc.params()) <= 0.01 + 1e-15
@@ -149,14 +173,14 @@ def test_wgan_updates_respect_clip(grid_dataset):
 @pytest.mark.parametrize("algorithm", ["gail", "random_reward_ablation"])
 def test_wgan_critic_starts_inside_clip_box(point_dataset, algorithm):
     config = point_config(algorithm=algorithm, alpha=0.5, disc_mode="wgan", wgan_clip=0.05)
-    state = build_trainer(config, make_env("pointreach"), point_dataset, spawn_rngs(0, 4))
+    state = new_trainer(config, make_env("pointreach"), point_dataset)
     assert max(np.abs(p).max() for p in state.disc.params()) <= 0.05
 
 
 def test_gan_discriminator_keeps_its_initialisation(point_dataset):
     config = point_config(disc_mode="gan", wgan_clip=0.05)
     env = make_env("pointreach")
-    state = build_trainer(config, env, point_dataset, spawn_rngs(0, 4))
+    state = new_trainer(config, env, point_dataset)
     rng_init = spawn_rngs(0, 4)[0]
     build_policy_net(env.obs_dim, env.action_spec, rng_init)
     expected = get_flat(build_disc_net(env.obs_dim, env.action_spec, rng_init))
@@ -167,7 +191,7 @@ def test_gan_discriminator_keeps_its_initialisation(point_dataset):
 def test_reinforce_uses_env_reward(grid_dataset):
     config = point_config(env="keydoor", algorithm="reinforce", rollout_steps=64)
     env = make_env("keydoor8")
-    state = build_trainer(config, env, None, spawn_rngs(0, 4))
+    state = new_trainer(config, env, None)
     assert state.disc is None
     row = train_iteration(state, config, env.action_spec)
     # keydoor env rewards are sparse 0/1, so the mean is in [0, 1]
@@ -184,7 +208,7 @@ def test_ppo_clip_path_runs(point_dataset):
 def test_trainer_rejects_missing_dataset():
     config = point_config(algorithm="gail")
     with pytest.raises(ValueError):
-        build_trainer(config, make_env("pointreach"), None, spawn_rngs(0, 4))
+        new_trainer(config, make_env("pointreach"), None)
 
 
 def test_bc_supervised_improves_and_restores_best(grid_dataset):
