@@ -1,12 +1,12 @@
-"""Run configuration: algorithm selection, schedules, and per-env defaults."""
+"""Run configuration: algorithm selection, the cloning weight, and per-env defaults."""
 
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import List, Optional, Union, get_args, get_origin
 
 from .envs.keydoor import SUPPORTED_SIZES
-from .schedule import AnnealSchedule
 
 
 @dataclass(frozen=True)
@@ -17,7 +17,8 @@ class Learner:
     ``reward`` is "disc" (a trained discriminator), "frozen_disc" (an
     untrained one), "task" (the true sparse reward, no expert data) or
     "none" (supervised cloning only, no rollouts).  ``alpha`` is a fixed
-    weight, "annealed" (``alpha0**t`` with the configured half-life) or
+    weight, "annealed" (``alpha0**t`` with ``alpha0 = 0.5**(1/H)`` for the
+    configured half-life H, so the weight crosses 0.5 exactly at t = H) or
     "config" (the configured ``alpha``).
     """
 
@@ -25,10 +26,11 @@ class Learner:
     alpha: Union[float, str]
     bc_pretrain: bool = False
 
-    def schedule(self, config: "TrainConfig") -> AnnealSchedule:
+    def alpha_at(self, config: "TrainConfig", t: int) -> float:
+        """The cloning weight at iteration ``t`` of a validated ``config``."""
         if self.alpha == "annealed":
-            return AnnealSchedule.annealed(config.half_life)
-        return AnnealSchedule.fixed(config.alpha if self.alpha == "config" else self.alpha)
+            return (0.5 ** (1.0 / config.half_life)) ** t
+        return config.alpha if self.alpha == "config" else self.alpha
 
 
 LEARNERS = {
@@ -55,15 +57,15 @@ class TrainConfig:
     algorithm: str = "bcgail_annealed"
     alpha: Optional[float] = None  # bcgail_fixed / random_reward_ablation
     half_life: Optional[int] = None  # bcgail_annealed; per-env default
-    disc_mode: Optional[str] = None  # "gan" | "wgan"; per-env default
+    disc_mode: str = "wgan"  # "gan" | "wgan"
     wgan_clip: float = 0.05
     gamma: float = 0.99
     lam: float = 0.95
     lr: float = 3e-4
     disc_lr: float = 3e-4
-    rollout_steps: Optional[int] = None  # per-env default
+    rollout_steps: int = 256
     total_steps: Optional[int] = None  # per-env default
-    eval_every: Optional[int] = None  # iterations between evaluations
+    eval_every: int = 40  # iterations between evaluations
     eval_episodes: int = 20
     entropy_coef: Optional[float] = None  # per-env default
     value_coef: float = 0.5
@@ -120,22 +122,8 @@ class TrainConfig:
 # choices; the half-life follows the calibration recipe of setting it to
 # about half the epochs supervised cloning needs to converge here.
 ENV_DEFAULTS = {
-    "keydoor": {
-        "disc_mode": "wgan",
-        "entropy_coef": 0.01,
-        "rollout_steps": 256,
-        "total_steps": 400_000,
-        "eval_every": 40,
-        "half_life": 300,
-    },
-    "pointreach": {
-        "disc_mode": "wgan",
-        "entropy_coef": 0.0,
-        "rollout_steps": 256,
-        "total_steps": 300_000,
-        "eval_every": 40,
-        "half_life": 600,
-    },
+    "keydoor": {"entropy_coef": 0.01, "total_steps": 400_000, "half_life": 300},
+    "pointreach": {"entropy_coef": 0.0, "total_steps": 300_000, "half_life": 600},
 }
 
 
@@ -157,8 +145,10 @@ def resolve(config: TrainConfig) -> TrainConfig:
 # the least value of each bounded integer field
 INT_LOWER_BOUNDS = {
     "total_steps": 1, "rollout_steps": 1, "eval_every": 1, "eval_episodes": 1, "ppo_epochs": 1, "bc_batch": 1,
-    "disc_updates": 0, "disc_pretrain_updates": 0,
+    "bc_max_epochs": 1, "disc_updates": 0, "disc_pretrain_updates": 0,
 }
+POSITIVE_FLOATS = ("lr", "disc_lr")
+NONNEGATIVE_FLOATS = ("value_coef", "entropy_coef")
 
 
 def _has_type(value, annotation) -> bool:
@@ -192,6 +182,8 @@ def validate(config: TrainConfig) -> TrainConfig:
         if not _has_type(value, f.type):
             expected = f.type.__name__ if isinstance(f.type, type) else str(f.type).replace("typing.", "")
             raise ConfigError(f"{f.name} must be {expected}, got {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{f.name} must be finite, got {value!r}")
     config = check_grid_size(resolve(config))
     if config.algorithm not in LEARNERS:
         raise ConfigError(f"unknown algorithm {config.algorithm!r}; expected one of {tuple(LEARNERS)}")
@@ -203,6 +195,12 @@ def validate(config: TrainConfig) -> TrainConfig:
     for name, least in INT_LOWER_BOUNDS.items():
         if getattr(config, name) < least:
             raise ConfigError(f"{name} must be >= {least}, got {getattr(config, name)}")
+    for name in POSITIVE_FLOATS:
+        if not getattr(config, name) > 0:
+            raise ConfigError(f"{name} must be > 0, got {getattr(config, name)}")
+    for name in NONNEGATIVE_FLOATS:
+        if not getattr(config, name) >= 0:
+            raise ConfigError(f"{name} must be >= 0, got {getattr(config, name)}")
     if learner.alpha == "config":
         if config.alpha is None:
             raise ConfigError(f"{config.algorithm} requires alpha")

@@ -29,18 +29,14 @@ N_CHANNELS = 6
 
 @dataclass(frozen=True)
 class GridState:
-    """Full simulation state of the Key-Door task.
-
-    ``wall_col=None`` builds a degenerate single-room grid; this never
-    occurs from :func:`keydoor_reset` and exists for planner fixtures.
-    """
+    """Full simulation state of the Key-Door task."""
 
     grid_size: int
     agent_pos: Tuple[int, int]
     key_pos: Tuple[int, int]
     door_pos: Tuple[int, int]
     goal_pos: Tuple[int, int]
-    wall_col: Optional[int]
+    wall_col: int
     has_key: bool = False
     door_open: bool = False
     steps_elapsed: int = 0
@@ -91,7 +87,7 @@ def _in_bounds(pos: Tuple[int, int], n: int) -> bool:
 
 
 def _passable(state: GridState, pos: Tuple[int, int]) -> bool:
-    if state.wall_col is None or pos[1] != state.wall_col:
+    if pos[1] != state.wall_col:
         return True
     if pos == state.door_pos:
         return state.has_key or state.door_open
@@ -141,10 +137,9 @@ def encode_grid_obs(state: GridState) -> np.ndarray:
     obs = np.zeros(end + 1)
     obs[CH_EMPTY:end:N_CHANNELS] = 1.0
     wall_col = state.wall_col
-    if wall_col is not None:
-        first = N_CHANNELS * wall_col  # the wall column's top cell; one row down is N_CHANNELS * n further
-        obs[first + CH_EMPTY : end : N_CHANNELS * n] = 0.0
-        obs[first + CH_WALL : end : N_CHANNELS * n] = 1.0
+    first = N_CHANNELS * wall_col  # the wall column's top cell; one row down is N_CHANNELS * n further
+    obs[first + CH_EMPTY : end : N_CHANNELS * n] = 0.0
+    obs[first + CH_WALL : end : N_CHANNELS * n] = 1.0
     # later entries override earlier ones on a shared cell, as the agent overrides all
     features = {state.door_pos: CH_DOOR, state.goal_pos: CH_GOAL}
     if not state.has_key:

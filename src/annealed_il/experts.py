@@ -70,7 +70,7 @@ def astar_shortest_path(
 
 def _phase_passable(state: GridState, door_passable: bool) -> Callable[[Cell], bool]:
     def passable(cell: Cell) -> bool:
-        if state.wall_col is None or cell[1] != state.wall_col:
+        if cell[1] != state.wall_col:
             return True
         return door_passable and cell == state.door_pos
 
@@ -79,8 +79,6 @@ def _phase_passable(state: GridState, door_passable: bool) -> Callable[[Cell], b
 
 def _past_door(state: GridState, cell: Cell) -> bool:
     """Whether ``cell`` lies in the goal's room, beyond the dividing wall."""
-    if state.wall_col is None:
-        return False
     return (cell[1] - state.wall_col) * (state.goal_pos[1] - state.wall_col) > 0
 
 

@@ -1,14 +1,13 @@
 """Training losses with exact analytic gradients.
 
 Covers the cloning loss (expert-action negative log-likelihood), the
-discriminator loss in GAN and WGAN flavors, the discriminator-derived
-surrogate reward, the policy-gradient loss, value regression, and the
-combined weighted update.  Every function returns (scalar loss, gradient
-list aligned with ``net.params()``); all gradients are finite-difference
-checked in the test suite.
+combined weighted update (cloning, policy gradient, value regression and
+entropy), the discriminator loss in GAN and WGAN flavors, and the
+discriminator-derived surrogate reward.  Every loss returns (scalar loss,
+gradient list aligned with ``net.params()``); all gradients are
+finite-difference checked in the test suite.
 """
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -20,27 +19,11 @@ from .nets import MLP
 SURROGATE_REWARD_MAX = 20.0
 
 
-@dataclass(frozen=True)
-class DiscMode:
-    variant: str  # "gan" | "wgan"
-    clip: float = 0.01  # wgan weight-clip bound
-
-    def __post_init__(self):
-        if self.variant not in ("gan", "wgan"):
-            raise ValueError(f"unknown discriminator variant {self.variant!r}")
-        if self.variant == "wgan" and self.clip <= 0:
-            raise ValueError("wgan clip bound must be positive")
-
-
 def _check_finite(name: str, value: float) -> float:
     value = float(value)
     if not np.isfinite(value):
         raise FloatingPointError(f"{name} is not finite: {value}")
     return value
-
-
-def _add_grads(a: List[np.ndarray], b: List[np.ndarray]) -> List[np.ndarray]:
-    return [x + y for x, y in zip(a, b)]
 
 
 # -- policy head terms ---------------------------------------------------------
@@ -150,42 +133,7 @@ def bc_loss(net: MLP, spec: ActionSpec, obs: np.ndarray, actions: np.ndarray) ->
     return loss, _backward(net, cache, [_d_log_prob(net, spec, pi, actions, weights)])
 
 
-# -- policy gradient -----------------------------------------------------------
-
-
-def pg_loss(
-    net: MLP,
-    spec: ActionSpec,
-    obs: np.ndarray,
-    actions: np.ndarray,
-    advantages: np.ndarray,
-    old_log_probs: Optional[np.ndarray] = None,
-    ppo_clip: Optional[float] = None,
-) -> Tuple[float, List[np.ndarray]]:
-    """-mean(log pi(a|s) * A), advantages treated as constants.
-
-    With ``ppo_clip`` set, uses the clipped-ratio surrogate against
-    ``old_log_probs`` instead.
-    """
-    pi, _, cache = _forward(net, obs)
-    logp = _log_prob(net, spec, pi, actions)
-    loss, weights = _pg_weights(logp, advantages, old_log_probs, ppo_clip, 1.0)
-    loss = _check_finite("pg_loss", loss)
-    return loss, _backward(net, cache, [_d_log_prob(net, spec, pi, actions, weights)])
-
-
-def value_loss(net: MLP, obs: np.ndarray, targets: np.ndarray) -> Tuple[float, List[np.ndarray]]:
-    """0.5 * mean squared error of the value head against regression targets."""
-    _, v, cache = _forward(net, obs)
-    loss, d_v = _value(v, targets, 1.0)
-    return _check_finite("value_loss", loss), _backward(net, cache, [], d_v)
-
-
-def entropy_term(net: MLP, spec: ActionSpec, obs: np.ndarray) -> Tuple[float, List[np.ndarray]]:
-    """Mean policy entropy over the batch and its gradients."""
-    pi, _, cache = _forward(net, obs)
-    value, grad = _entropy(net, spec, pi, 1.0)
-    return _check_finite("entropy", value), _backward(net, cache, [grad])
+# -- combined update -----------------------------------------------------------
 
 
 def policy_loss(
@@ -271,9 +219,10 @@ def disc_loss(
     net: MLP,
     expert_inputs: np.ndarray,
     policy_inputs: np.ndarray,
-    mode: DiscMode,
+    mode: str,
 ) -> Tuple[float, List[np.ndarray]]:
-    """GAN cross-entropy or WGAN critic loss over (obs, action) batches.
+    """GAN cross-entropy or WGAN critic loss over (obs, action) batches;
+    ``mode`` is "gan" or "wgan".
 
     GAN:  -E_expert[log D] - E_policy[log(1 - D)], D = sigmoid(f).
     WGAN: E_policy[f] - E_expert[f]; weight clipping is applied by the
@@ -287,7 +236,7 @@ def disc_loss(
     f_p = outs_p["f"][:, 0]
     n_e, n_p = len(f_e), len(f_p)
 
-    if mode.variant == "gan":
+    if mode == "gan":
         loss = _softplus(-f_e).mean() + _softplus(f_p).mean()
         d_f_e = ((_sigmoid(f_e) - 1.0) / n_e).reshape(-1, 1)
         d_f_p = (_sigmoid(f_p) / n_p).reshape(-1, 1)
@@ -297,11 +246,11 @@ def disc_loss(
         d_f_p = np.full((n_p, 1), 1.0 / n_p)
 
     loss = _check_finite("disc_loss", loss)
-    grads = _add_grads(net.backward(cache_e, {"f": d_f_e}), net.backward(cache_p, {"f": d_f_p}))
-    return loss, grads
+    grads_e, grads_p = net.backward(cache_e, {"f": d_f_e}), net.backward(cache_p, {"f": d_f_p})
+    return loss, [g_e + g_p for g_e, g_p in zip(grads_e, grads_p)]
 
 
-def surrogate_reward(net: MLP, obs: np.ndarray, actions: np.ndarray, spec: ActionSpec, mode: DiscMode) -> np.ndarray:
+def surrogate_reward(net: MLP, obs: np.ndarray, actions: np.ndarray, spec: ActionSpec, mode: str) -> np.ndarray:
     """Per-step reward the policy maximizes, derived from the discriminator.
 
     GAN: -log(1 - D(s, a)) = softplus(f), clipped for stability (always
@@ -309,6 +258,6 @@ def surrogate_reward(net: MLP, obs: np.ndarray, actions: np.ndarray, spec: Actio
     """
     outs, _ = net.forward(disc_inputs(obs, actions, spec))
     f = outs["f"][:, 0]
-    if mode.variant == "gan":
+    if mode == "gan":
         return np.minimum(_softplus(f), SURROGATE_REWARD_MAX)
     return f

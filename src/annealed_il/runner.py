@@ -142,8 +142,8 @@ def _disc_pretrain_phase(state, config, env_spec, metrics) -> None:
         idx_p = state.rng_batch.integers(0, len(policy_in), size=batch)
         loss, grads = disc_loss(state.disc, disc_inputs(e_obs, e_act, env_spec), policy_in[idx_p], state.disc_mode)
         state.opt_disc.step(state.disc.params(), grads)
-        if state.disc_mode.variant == "wgan":
-            clip_params(state.disc, state.disc_mode.clip)
+        if state.disc_mode == "wgan":
+            clip_params(state.disc, config.wgan_clip)
         metrics.write(
             IterationMetrics(
                 phase="disc_pretrain",

@@ -3,7 +3,7 @@
 One iteration = collect a fixed-size on-policy rollout, optionally take a
 discriminator step, compute surrogate rewards and advantages, and apply
 one combined policy/value update whose cloning weight comes from the
-annealing schedule.  The pure-adversarial learner is the fixed-alpha=0
+learner's ``alpha_at``.  The pure-adversarial learner is the fixed-alpha=0
 special case of the same code path, so the two are bit-identical given
 the same seed.
 """
@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import LEARNERS, TrainConfig
 from .data import Dataset
-from .losses import DiscMode, disc_inputs, disc_loss, policy_loss, surrogate_reward
+from .losses import disc_inputs, disc_loss, policy_loss, surrogate_reward
 from .metrics import NAN, IterationMetrics
 from .nets import MLP, Adam, build_disc_net, clip_params
 from .rollout import (
@@ -25,7 +25,6 @@ from .rollout import (
     discounted_returns,
     normalize_advantages,
 )
-from .schedule import alpha_at
 
 
 @dataclass
@@ -34,7 +33,7 @@ class TrainerState:
     opt_policy: Adam
     disc: Optional[MLP]
     opt_disc: Optional[Adam]
-    disc_mode: DiscMode
+    disc_mode: str  # "gan" | "wgan"
     runner: EnvRunner
     expert_obs: Optional[np.ndarray]
     expert_actions: Optional[np.ndarray]
@@ -70,12 +69,11 @@ def build_trainer(
         raise ValueError(f"algorithm {config.algorithm!r} has no rollout-training loop")
     rng_init, rng_env, rng_actions, rng_batch = rngs
 
-    disc_mode = DiscMode(variant=config.disc_mode, clip=config.wgan_clip)
     disc = opt_disc = expert_obs = expert_actions = None
     if learner.reward != "task":
         disc = build_disc_net(env.obs_dim, env.action_spec, rng_init)
-        if disc_mode.variant == "wgan":
-            clip_params(disc, disc_mode.clip)
+        if config.disc_mode == "wgan":
+            clip_params(disc, config.wgan_clip)
         opt_disc = Adam(disc.params(), lr=config.disc_lr)
         if dataset is None or len(dataset) == 0:
             raise ValueError("this algorithm needs a nonempty expert dataset")
@@ -86,7 +84,7 @@ def build_trainer(
         opt_policy=Adam(policy.params(), lr=config.lr),
         disc=disc,
         opt_disc=opt_disc,
-        disc_mode=disc_mode,
+        disc_mode=config.disc_mode,
         runner=EnvRunner(env, rng_env),
         expert_obs=expert_obs,
         expert_actions=expert_actions,
@@ -116,8 +114,8 @@ def train_iteration(state: TrainerState, config: TrainConfig, env_spec) -> Itera
                 state.disc, disc_inputs(e_obs, e_act, env_spec), policy_in, state.disc_mode
             )
             state.opt_disc.step(state.disc.params(), grads)
-            if state.disc_mode.variant == "wgan":
-                clip_params(state.disc, state.disc_mode.clip)
+            if state.disc_mode == "wgan":
+                clip_params(state.disc, config.wgan_clip)
             disc_loss_value = loss
 
     imitating = learner.reward != "task"
@@ -134,7 +132,7 @@ def train_iteration(state: TrainerState, config: TrainConfig, env_spec) -> Itera
         value_targets = raw_adv.copy()
         value_coef = 0.0
     advantages = normalize_advantages(raw_adv)
-    alpha = alpha_at(learner.schedule(config), state.iteration)
+    alpha = learner.alpha_at(config, state.iteration)
 
     epochs = config.ppo_epochs if config.ppo_clip is not None else 1
     for _ in range(epochs):

@@ -23,26 +23,18 @@ import numpy as np
 import pytest
 
 from annealed_il.compare import compare
-from annealed_il.config import TrainConfig
+from annealed_il.config import LEARNERS, TrainConfig
 from annealed_il.data import save_dataset
 from annealed_il.envs import ActionSpec, make_env
 from annealed_il.envs.keydoor import keydoor_reset, keydoor_step
 from annealed_il.experts import AStarExpert, PointExpert, astar_plan, collect
 from annealed_il import dists
-from annealed_il.losses import (
-    DiscMode,
-    bc_loss,
-    disc_loss,
-    entropy_term,
-    policy_loss,
-    value_loss,
-)
+from annealed_il.losses import bc_loss, disc_loss, policy_loss
 from annealed_il.metrics import read_metrics
 from annealed_il.nets import build_disc_net, build_policy_net
 from annealed_il.runner import run
-from annealed_il.schedule import AnnealSchedule, alpha_at
 
-from util import flatten_grads, numerical_grad, relative_error
+from util import flatten_grads, numerical_grad, policy_term, relative_error
 
 from test_experts import bfs_plan_length
 
@@ -89,8 +81,11 @@ def test_criterion_1_gradient_oracle():
         checks += 1
 
         # value-regression term
-        _, g = value_loss(net, obs, targets)
-        worst = max(worst, relative_error(flatten_grads(g), numerical_grad(lambda: value_loss(net, obs, targets)[0], net)))
+        def value():
+            return policy_term("value", net, spec, obs, actions, targets=targets)[0]
+
+        _, g = policy_term("value", net, spec, obs, actions, targets=targets)
+        worst = max(worst, relative_error(flatten_grads(g), numerical_grad(value, net)))
         checks += 1
 
         # combined update at the three canonical weights
@@ -108,7 +103,7 @@ def test_criterion_1_gradient_oracle():
         dnet = build_disc_net(obs_dim, spec, rng, hidden=[4, 3])
         e_in = rng.standard_normal((n, dnet.in_dim))
         p_in = rng.standard_normal((n + 1, dnet.in_dim))
-        for mode in (DiscMode("gan"), DiscMode("wgan")):
+        for mode in ("gan", "wgan"):
             _, g = disc_loss(dnet, e_in, p_in, mode)
             worst = max(worst, relative_error(flatten_grads(g), numerical_grad(lambda: disc_loss(dnet, e_in, p_in, mode)[0], dnet)))
             checks += 1
@@ -127,8 +122,9 @@ def test_criterion_1_gradient_oracle():
 
 
 def test_criterion_2_schedule_exactness():
-    errs = [abs(alpha_at(AnnealSchedule.annealed(h), h) - 0.5) for h in (1, 5, 10, 100)]
-    first_step = alpha_at(AnnealSchedule.annealed(10), 1)
+    annealed = LEARNERS["bcgail_annealed"]
+    errs = [abs(annealed.alpha_at(TrainConfig(half_life=h), h) - 0.5) for h in (1, 5, 10, 100)]
+    first_step = annealed.alpha_at(TrainConfig(half_life=10), 1)
     ok = max(errs) < 1e-12 and abs(first_step - 0.933033) < 1e-3
     report("2 (schedule exactness)", ok, f"max half-life err {max(errs):.2e}, alpha_1 {first_step:.6f}")
 
@@ -419,8 +415,8 @@ def test_criterion_10_boundary_equivalence(tmp_path):
     _, g_combined, _ = policy_loss(net, spec, obs, actions, rng.standard_normal(6) * 100, targets,
                                    1.0, eobs, eactions, entropy_coef=0.01, value_coef=0.5)
     _, g_bc = bc_loss(net, spec, eobs, eactions)
-    _, g_v = value_loss(net, obs, targets)
-    _, g_h = entropy_term(net, spec, obs)
+    _, g_v = policy_term("value", net, spec, obs, actions, targets=targets)
+    _, g_h = policy_term("entropy", net, spec, obs, actions)
     manual = [b + 0.5 * v - 0.01 * h for b, v, h in zip(g_bc, g_v, g_h)]
     pg_contribution = max(np.max(np.abs(a - b)) for a, b in zip(g_combined, manual))
 

@@ -41,7 +41,7 @@ def bfs_shortest_length(start, goal, grid_size, passable):
 def bfs_plan_length(state: GridState) -> int:
     def side(door_ok):
         def passable(cell):
-            if state.wall_col is None or cell[1] != state.wall_col:
+            if cell[1] != state.wall_col:
                 return True
             return door_ok and cell == state.door_pos
 
@@ -61,20 +61,6 @@ def test_astar_matches_bfs_oracle(size):
     for seed in range(50):
         state = keydoor_reset(size, seed)
         assert len(astar_plan(state)) == bfs_plan_length(state)
-
-
-def test_astar_on_degenerate_wall_free_room():
-    # single-room fixture: plan length is the sum of Manhattan distances
-    state = GridState(
-        grid_size=8,
-        agent_pos=(0, 0),
-        key_pos=(0, 2),
-        door_pos=(1, 2),
-        goal_pos=(2, 2),
-        wall_col=None,
-    )
-    plan = astar_plan(state)
-    assert len(plan) == 2 + 1 + 1
 
 
 def test_astar_plan_reaches_goal_with_reward_one():

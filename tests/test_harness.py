@@ -2,14 +2,13 @@
 and the CLI surface."""
 
 import json
-import os
 import shutil
 
 import numpy as np
 import pytest
 
 from annealed_il.cli import build_parser, main
-from annealed_il.compare import compare, pooled_curve, smooth, steps_to_threshold
+from annealed_il.compare import compare, smooth, steps_to_threshold
 from annealed_il.config import ConfigError, TrainConfig, resolve, validate
 from annealed_il.data import save_dataset
 from annealed_il.envs import make_env
@@ -61,7 +60,7 @@ def tiny_config(dataset_path, out, **kw):
 
 def test_env_defaults_resolve():
     c = resolve(TrainConfig(env="keydoor", algorithm="reinforce"))
-    assert c.disc_mode is not None and c.rollout_steps > 0 and c.entropy_coef is not None
+    assert (c.total_steps, c.half_life, c.entropy_coef) == (400_000, 300, 0.01)
 
 
 def test_validate_catches_bad_configs(point_dataset_path):
@@ -472,10 +471,13 @@ def test_cli_rejects_zero_eval_every_before_writing(tmp_path, capsys):
     assert not (tmp_path / "runs").exists()
 
 
-# Each value is outside its field's domain.  Before validate checked them,
-# these runs crashed mid-run after writing their run directory, or (a
-# negative disc_updates, a bool eval_every) trained quietly with a
-# different learner.
+# Each value is outside its field's domain; the key names the field (before
+# any "=") that the error must name.  Before validate checked them, these
+# runs crashed mid-run after writing their run directory, or (a negative
+# disc_updates or lr, a zero disc_lr, a negative value_coef, a bool
+# eval_every, a bc run of no epochs) trained quietly with a different
+# learner.  The last three are the critic-variant and cloning-weight checks
+# that only validate makes.
 OUT_OF_DOMAIN = {
     "ppo_epochs": {"ppo_clip": 0.2, "ppo_epochs": 0},
     "bc_batch": {"algorithm": "bc", "bc_batch": 0},
@@ -486,17 +488,28 @@ OUT_OF_DOMAIN = {
     "disc_updates": {"disc_updates": -3},
     "total_steps": {"total_steps": "2048"},
     "lr": {"lr": "0.001"},
+    "lr=-0.001": {"lr": -0.001},
+    "lr=NaN": {"lr": float("nan")},
+    "entropy_coef=Infinity": {"entropy_coef": float("inf")},
+    "disc_lr=0": {"disc_lr": 0.0},
+    "value_coef=-1": {"value_coef": -1.0},
+    "wgan_clip=Infinity": {"wgan_clip": float("inf")},
+    "ppo_clip=Infinity": {"ppo_clip": float("inf")},
+    "bc_max_epochs=0": {"algorithm": "bc", "bc_max_epochs": 0},
+    "disc_mode=lsgan": {"disc_mode": "lsgan"},
+    "half_life=0": {"algorithm": "bcgail_annealed", "half_life": 0},
+    "alpha=1.5": {"algorithm": "bcgail_fixed", "alpha": 1.5},
 }
 
 
-@pytest.mark.parametrize("field", sorted(OUT_OF_DOMAIN))
-def test_cli_rejects_out_of_domain_values_before_writing(field, point_dataset_path, tmp_path, capsys):
+@pytest.mark.parametrize("case", sorted(OUT_OF_DOMAIN))
+def test_cli_rejects_out_of_domain_values_before_writing(case, point_dataset_path, tmp_path, capsys):
     file_config = tmp_path / "c.json"
-    file_config.write_text(json.dumps({"algorithm": "gail", "total_steps": 512, **OUT_OF_DOMAIN[field]}))
+    file_config.write_text(json.dumps({"algorithm": "gail", "total_steps": 512, **OUT_OF_DOMAIN[case]}))
     argv = ["train", "--config", str(file_config), "--env", "pointreach", "--dataset", point_dataset_path]
     rc = main(argv + ["--seed", "0", "--out", str(tmp_path / "runs")])
     assert rc == 2
-    assert field in capsys.readouterr().err
+    assert case.split("=")[0] in capsys.readouterr().err
     assert not (tmp_path / "runs").exists()
 
 

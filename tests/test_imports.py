@@ -1,9 +1,9 @@
 """Import-level guards.
 
-Every name the package imports is used in its module (a name counts as
-used if the module reads it anywhere or lists it in ``__all__``), and every
-name the benchmark in ``bench/`` wraps still exists and is still looked up
-where the benchmark wraps it.
+Every name the package and its test modules import is used in its module
+(a name counts as used if the module reads it anywhere or lists it in
+``__all__``), and every name the benchmark in ``bench/`` wraps still
+exists and is still looked up where the benchmark wraps it.
 """
 
 import ast
@@ -14,6 +14,7 @@ from annealed_il.config import TrainConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "annealed_il"
+TESTS = ROOT / "tests"
 
 
 def _imported_names(tree: ast.Module):
@@ -39,11 +40,11 @@ def _used_names(tree: ast.Module) -> set:
 def unused_imports(path: Path):
     tree = ast.parse(path.read_text())
     used = _used_names(tree)
-    return [f"{path.relative_to(PACKAGE)}:{line} {name}" for name, line in _imported_names(tree) if name not in used]
+    return [f"{path.relative_to(ROOT)}:{line} {name}" for name, line in _imported_names(tree) if name not in used]
 
 
 def test_no_unused_imports_in_package():
-    modules = sorted(PACKAGE.rglob("*.py"))
+    modules = sorted(PACKAGE.rglob("*.py")) + sorted(TESTS.glob("*.py"))
     assert modules
     unused = [entry for path in modules for entry in unused_imports(path)]
     assert not unused, "unused imports:\n" + "\n".join(unused)

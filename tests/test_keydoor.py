@@ -1,12 +1,11 @@
 """Key-Door gridworld: reset invariants, step semantics, determinism."""
 
 from collections import deque
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from annealed_il.envs import KeyDoorEnv, StepResult
+from annealed_il.envs import KeyDoorEnv
 from annealed_il.envs.keydoor import (
     CH_AGENT,
     CH_DOOR,
@@ -233,8 +232,7 @@ def _reference_encode(state):
     """The full-grid encoder: an index grid, a fancy-indexed one-hot, then the flag."""
     n = state.grid_size
     grid = np.full((n, n), CH_EMPTY, dtype=np.int64)
-    if state.wall_col is not None:
-        grid[:, state.wall_col] = CH_WALL
+    grid[:, state.wall_col] = CH_WALL
     grid[state.door_pos] = CH_DOOR
     grid[state.goal_pos] = CH_GOAL
     if not state.has_key:
@@ -257,10 +255,9 @@ def test_encoding_matches_reference_byte_for_byte(size):
         for action in [None] + plan:
             if action is not None:
                 s, _ = keydoor_step(s, action)
-            for state in (s, replace(s, wall_col=None)):
-                obs = encode_grid_obs(state)
-                assert obs.dtype == np.float64
-                assert obs.tobytes() == _reference_encode(state).tobytes()
+            obs = encode_grid_obs(s)
+            assert obs.dtype == np.float64
+            assert obs.tobytes() == _reference_encode(s).tobytes()
             seen["has_key"] += s.has_key
             seen["door_open"] += s.door_open
             seen["on_key"] += s.agent_pos == s.key_pos

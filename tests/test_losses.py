@@ -5,21 +5,10 @@ import numpy as np
 import pytest
 
 from annealed_il.envs import ActionSpec
-from annealed_il.losses import (
-    DiscMode,
-    bc_loss,
-    disc_inputs,
-    disc_loss,
-    encode_actions,
-    entropy_term,
-    pg_loss,
-    policy_loss,
-    surrogate_reward,
-    value_loss,
-)
+from annealed_il.losses import action_log_probs, bc_loss, disc_loss, encode_actions, policy_loss, surrogate_reward
 from annealed_il.nets import MLP, build_disc_net, build_policy_net
 
-from util import flatten_grads, numerical_grad, relative_error
+from util import flatten_grads, numerical_grad, policy_term, relative_error
 
 DISCRETE = ActionSpec(kind="discrete", n=4)
 CONTINUOUS = ActionSpec(kind="continuous", dim=2)
@@ -81,7 +70,7 @@ def test_gan_loss_at_logit_zero_is_two_log_two():
     rng = np.random.default_rng(0)
     e = rng.standard_normal((5, 11))
     p = rng.standard_normal((6, 11))
-    loss, _ = disc_loss(net, e, p, DiscMode("gan"))
+    loss, _ = disc_loss(net, e, p, "gan")
     assert loss == pytest.approx(2 * np.log(2), abs=1e-12)
 
 
@@ -89,13 +78,12 @@ def test_wgan_loss_constant_critic_cancels():
     net = build_disc_net(7, DISCRETE, None)
     net.heads["f"][1][0] = 3.7  # f == 3.7 on any input
     rng = np.random.default_rng(1)
-    loss, _ = disc_loss(net, rng.standard_normal((5, 11)), rng.standard_normal((9, 11)), DiscMode("wgan"))
+    loss, _ = disc_loss(net, rng.standard_normal((5, 11)), rng.standard_normal((9, 11)), "wgan")
     assert loss == pytest.approx(0.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("variant", ["gan", "wgan"])
-def test_disc_loss_gradient_matches_finite_differences(variant):
-    mode = DiscMode(variant)
+@pytest.mark.parametrize("mode", ["gan", "wgan"])
+def test_disc_loss_gradient_matches_finite_differences(mode):
     for seed in range(3):
         rng = np.random.default_rng(seed)
         net = build_disc_net(6, DISCRETE, rng, hidden=[5, 4])
@@ -109,14 +97,7 @@ def test_disc_loss_gradient_matches_finite_differences(variant):
 def test_disc_loss_rejects_empty():
     net = build_disc_net(6, DISCRETE, np.random.default_rng(0))
     with pytest.raises(ValueError):
-        disc_loss(net, np.zeros((0, 10)), np.zeros((3, 10)), DiscMode("gan"))
-
-
-def test_disc_mode_validation():
-    with pytest.raises(ValueError):
-        DiscMode("lsgan")
-    with pytest.raises(ValueError):
-        DiscMode("wgan", clip=0.0)
+        disc_loss(net, np.zeros((0, 10)), np.zeros((3, 10)), "gan")
 
 
 def test_encode_actions():
@@ -132,7 +113,7 @@ def test_encode_actions():
 def test_gan_reward_at_logit_zero():
     net = build_disc_net(7, DISCRETE, None)
     obs = np.zeros((3, 7))
-    r = surrogate_reward(net, obs, np.array([0, 1, 2]), DISCRETE, DiscMode("gan"))
+    r = surrogate_reward(net, obs, np.array([0, 1, 2]), DISCRETE, "gan")
     assert np.allclose(r, -np.log(0.5))
 
 
@@ -140,11 +121,11 @@ def test_gan_reward_limits_and_clip():
     net = build_disc_net(7, DISCRETE, None)
     # drive the logit strongly negative: reward tends to 0+
     net.heads["f"][1][0] = -40.0
-    r = surrogate_reward(net, np.zeros((1, 7)), np.array([0]), DISCRETE, DiscMode("gan"))
+    r = surrogate_reward(net, np.zeros((1, 7)), np.array([0]), DISCRETE, "gan")
     assert 0.0 <= r[0] < 1e-12
     # strongly positive logit: clipped at the stability bound
     net.heads["f"][1][0] = 50.0
-    r = surrogate_reward(net, np.zeros((1, 7)), np.array([0]), DISCRETE, DiscMode("gan"))
+    r = surrogate_reward(net, np.zeros((1, 7)), np.array([0]), DISCRETE, "gan")
     assert r[0] == 20.0
 
 
@@ -153,40 +134,37 @@ def test_gan_reward_nonnegative_property():
     net = build_disc_net(7, DISCRETE, rng)
     obs = rng.standard_normal((100, 7)) * 3
     actions = rng.integers(0, 4, 100)
-    r = surrogate_reward(net, obs, actions, DISCRETE, DiscMode("gan"))
+    r = surrogate_reward(net, obs, actions, DISCRETE, "gan")
     assert np.all(r >= 0.0)
 
 
 def test_wgan_reward_is_raw_critic_value():
     net = build_disc_net(7, DISCRETE, None)
     net.heads["f"][1][0] = -1.3
-    r = surrogate_reward(net, np.zeros((2, 7)), np.array([0, 1]), DISCRETE, DiscMode("wgan"))
+    r = surrogate_reward(net, np.zeros((2, 7)), np.array([0, 1]), DISCRETE, "wgan")
     assert np.allclose(r, -1.3)
 
 
-# -- value / entropy -----------------------------------------------------------
+# -- each term of the combined loss, alone -------------------------------------
 
 
 def test_value_loss_gradient():
     for seed in range(3):
         net = small_policy(DISCRETE, seed)
-        obs, _ = random_batch(DISCRETE, seed)
+        obs, actions = random_batch(DISCRETE, seed)
         targets = np.random.default_rng(seed).standard_normal(6)
-        _, grads = value_loss(net, obs, targets)
-        numeric = numerical_grad(lambda: value_loss(net, obs, targets)[0], net)
+        _, grads = policy_term("value", net, DISCRETE, obs, actions, targets=targets)
+        numeric = numerical_grad(lambda: policy_term("value", net, DISCRETE, obs, actions, targets=targets)[0], net)
         assert relative_error(flatten_grads(grads), numeric) < 1e-4
 
 
 def test_entropy_gradient():
     for spec in (DISCRETE, CONTINUOUS):
         net = small_policy(spec, 3)
-        obs, _ = random_batch(spec, 3)
-        _, grads = entropy_term(net, spec, obs)
-        numeric = numerical_grad(lambda: entropy_term(net, spec, obs)[0], net)
+        obs, actions = random_batch(spec, 3)
+        _, grads = policy_term("entropy", net, spec, obs, actions)
+        numeric = numerical_grad(lambda: policy_term("entropy", net, spec, obs, actions)[0], net)
         assert relative_error(flatten_grads(grads), numeric) < 1e-4
-
-
-# -- policy gradient and the combined loss --------------------------------------
 
 
 def test_pg_loss_gradient_plain_and_clipped():
@@ -195,16 +173,19 @@ def test_pg_loss_gradient_plain_and_clipped():
         obs, actions = random_batch(spec, 5)
         rng = np.random.default_rng(5)
         adv = rng.standard_normal(6)
-        _, grads = pg_loss(net, spec, obs, actions, adv)
-        numeric = numerical_grad(lambda: pg_loss(net, spec, obs, actions, adv)[0], net)
+        _, grads = policy_term("pg", net, spec, obs, actions, adv)
+        numeric = numerical_grad(lambda: policy_term("pg", net, spec, obs, actions, adv)[0], net)
         assert relative_error(flatten_grads(grads), numeric) < 1e-4
         # ppo clip against slightly perturbed old log-probs
-        from annealed_il.losses import action_log_probs
-
         old = action_log_probs(net, spec, obs, actions) + rng.standard_normal(6) * 0.3
-        _, grads = pg_loss(net, spec, obs, actions, adv, old, 0.2)
-        numeric = numerical_grad(lambda: pg_loss(net, spec, obs, actions, adv, old, 0.2)[0], net)
+        _, grads = policy_term("pg", net, spec, obs, actions, adv, old_log_probs=old, ppo_clip=0.2)
+        numeric = numerical_grad(
+            lambda: policy_term("pg", net, spec, obs, actions, adv, old_log_probs=old, ppo_clip=0.2)[0], net
+        )
         assert relative_error(flatten_grads(grads), numeric) < 1e-4
+
+
+# -- the combined loss ---------------------------------------------------------
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
@@ -275,10 +256,10 @@ def test_policy_loss_composition_identity():
             net, spec, obs, actions, adv, targets, alpha, eobs, eactions,
             entropy_coef=e_coef, value_coef=v_coef,
         )
-        _, g_bc = bc_loss(net, spec, eobs, eactions)
-        _, g_pg = pg_loss(net, spec, obs, actions, adv)
-        _, g_v = value_loss(net, obs, targets)
-        _, g_h = entropy_term(net, spec, obs)
+        _, g_bc = policy_term("bc", net, spec, eobs, eactions)
+        _, g_pg = policy_term("pg", net, spec, obs, actions, adv)
+        _, g_v = policy_term("value", net, spec, obs, actions, targets=targets)
+        _, g_h = policy_term("entropy", net, spec, obs, actions)
         manual = [
             alpha * a + (1 - alpha) * b + v_coef * c - e_coef * d
             for a, b, c, d in zip(g_bc, g_pg, g_v, g_h)
@@ -303,9 +284,9 @@ def test_policy_loss_alpha_one_ignores_advantages():
     for a, b in zip(g1, g2):
         assert np.array_equal(a, b)
     # and it equals bc + value + entropy exactly
-    _, g_bc = bc_loss(net, DISCRETE, eobs, eactions)
-    _, g_v = value_loss(net, obs, targets)
-    _, g_h = entropy_term(net, DISCRETE, obs)
+    _, g_bc = policy_term("bc", net, DISCRETE, eobs, eactions)
+    _, g_v = policy_term("value", net, DISCRETE, obs, actions, targets=targets)
+    _, g_h = policy_term("entropy", net, DISCRETE, obs, actions)
     manual = [a + 0.5 * c - 0.01 * d for a, c, d in zip(g_bc, g_v, g_h)]
     for got, want in zip(g1, manual):
         assert np.max(np.abs(got - want)) < 1e-10

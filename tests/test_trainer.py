@@ -13,7 +13,6 @@ from annealed_il.experts import AStarExpert, PointExpert, collect
 from annealed_il.metrics import read_metrics
 from annealed_il.nets import build_disc_net, build_policy_net, get_flat
 from annealed_il.runner import run
-from annealed_il.schedule import alpha_at
 from annealed_il.trainer import build_trainer, spawn_rngs, train_bc_supervised, train_iteration
 
 
@@ -78,7 +77,7 @@ def test_learner_wiring(algorithm, point_dataset, tmp_path):
         dataset=str(tmp_path / "point.bin"), out=str(tmp_path), total_steps=512,
         rollout_steps=128, eval_episodes=1, bc_max_epochs=2, disc_pretrain_updates=2,
     )
-    assert [alpha_at(learner.schedule(config), t) for t in range(3)] == pytest.approx(alphas, rel=1e-15)
+    assert [learner.alpha_at(config, t) for t in range(3)] == pytest.approx(alphas, rel=1e-15)
     if needs_dataset:
         with pytest.raises(ConfigError, match="requires a dataset"):
             validate(replace(config, dataset=None))
